@@ -75,7 +75,7 @@ func run() error {
 		corpusDir = flag.String("corpus-dir", "", "directory for the corpus ablation's on-disk artifacts (default: temp, discarded)")
 		cacheDir  = flag.String("cache-dir", "", "persistent solver-cache root for guided pipeline runs and the solvercache ablation (default: temp, discarded)")
 		seed      = flag.Int64("seed", bench.DefaultSeed, "workload seed")
-		parallel  = flag.Int("parallel", 1, "candidate-verification workers per pipeline run (1: sequential)")
+		parallel  = flag.Int("parallel", 1, "candidate-verification local slots per pipeline run (1: sequential)")
 		workers   = flag.Int("workers", 0, "in-candidate frontier workers per symbolic execution (0: sequential engine)")
 		sharedCch = flag.Bool("shared-cache", true, "share solver verdicts across candidate verifications (wall-clock only; counters are unaffected)")
 		scope     = flag.String("scope", "", "interpretation scope policy for guided runs (e.g. \"all\" or \"all,-logmsg\"); empty = everything in scope")
@@ -90,7 +90,6 @@ func run() error {
 		traceInt  = flag.Duration("trace-interval", time.Second, "progress-snapshot period for -trace")
 		metrics   = flag.Bool("metrics", false, "print the accumulated metrics registry at exit")
 		listen    = flag.String("listen", "", "serve live introspection (/metrics, /progress, /spans, pprof) on this address (e.g. localhost:6060)")
-		pprofAddr = flag.String("pprof", "", "deprecated alias for -listen (pprof rides the same mux)")
 		flightOut = flag.String("flight", "", "dump the flight-recorder ring (JSONL) to this file on fault, panic, or interrupt")
 		flightN   = flag.Int("flight-depth", flight.DefaultDepth, "flight-recorder events retained per category")
 	)
@@ -111,8 +110,8 @@ func run() error {
 
 	rt, err := live.Init(live.Options{
 		Binary: "benchtab",
-		Listen: *listen, Pprof: *pprofAddr,
-		Trace: *traceOut, Interval: *traceInt, Metrics: *metrics,
+		Listen: *listen,
+		Trace:  *traceOut, Interval: *traceInt, Metrics: *metrics,
 		Flight: *flightOut, FlightDepth: *flightN,
 	})
 	if err != nil {

@@ -50,12 +50,12 @@ func run() error {
 		maxStates = flag.Int("max-states", 0, "live-state budget (0: default)")
 		maxSteps  = flag.Int64("max-steps", 0, "instruction budget (0: default)")
 		timeout   = flag.Duration("timeout", 0, "wall-clock bound for symbolic execution (0: none)")
-		parallel  = flag.Int("parallel", 1, "verify candidate paths with this many concurrent workers (1: the paper's sequential loop)")
+		parallel  = flag.Int("parallel", 1, "verify candidate paths with this many concurrent local slots (1: the paper's sequential loop)")
 		workers   = flag.Int("workers", 0, "in-candidate frontier workers (0: sequential engine; >=1: deterministic epoch engine, results independent of the count)")
 		sharedCch = flag.Bool("shared-cache", true, "share solver verdicts across candidate verifications (wall-clock only; counters are unaffected)")
 		cacheDir  = flag.String("cache-dir", "", "persist solver-cache verdicts across runs in this directory: prior verdicts warm-start this run (verified on load), fresh ones spill back; wall-clock only, detections are unaffected")
 		increment = flag.Bool("incremental", false, "with -cache-dir: diff the cache manifest's function hashes against the program and re-run only candidate paths crossing changed functions")
-		dispatchF = flag.Bool("dispatch", false, "verify candidate paths through the dispatch backend (whole attempts shipped to -worker-addrs workers plus local slots); detections and the digest are identical to the sequential loop for any topology")
+		dispatchF = flag.Bool("dispatch", false, "add one verification slot per -worker-addrs worker next to the local slots (each ships whole attempts to its worker); detections and the digest are identical to the sequential loop for any topology")
 		workerStr = flag.String("worker-addrs", "", "comma-separated dispatch worker addresses (unix:/path or tcp:host:port), each one a `symexec -serve-worker` process; empty with -dispatch runs local-only")
 		dispLog   = flag.String("dispatch-log", "", "append a JSONL audit trail of dispatch scheduling decisions (steal, redispatch, merge) to this file")
 		unitDl    = flag.Duration("unit-deadline", 0, "per-unit round-trip deadline before a worker is declared hung and its unit re-run locally (0: 10m default)")
@@ -70,7 +70,6 @@ func run() error {
 		traceInt  = flag.Duration("trace-interval", time.Second, "progress-snapshot period for -trace")
 		metrics   = flag.Bool("metrics", false, "print the metrics registry at exit (and embed it in -html)")
 		listen    = flag.String("listen", "", "serve live introspection (/metrics, /progress, /spans, pprof) on this address (e.g. localhost:6060)")
-		pprofAddr = flag.String("pprof", "", "deprecated alias for -listen (pprof rides the same mux)")
 		flightOut = flag.String("flight", "", "dump the flight-recorder ring (JSONL) to this file on fault, panic, or interrupt")
 		flightN   = flag.Int("flight-depth", flight.DefaultDepth, "flight-recorder events retained per category")
 	)
@@ -84,8 +83,8 @@ func run() error {
 
 	rt, err := live.Init(live.Options{
 		Binary: "statsym",
-		Listen: *listen, Pprof: *pprofAddr,
-		Trace: *traceOut, Interval: *traceInt, Metrics: *metrics,
+		Listen: *listen,
+		Trace:  *traceOut, Interval: *traceInt, Metrics: *metrics,
 		Flight: *flightOut, FlightDepth: *flightN,
 	})
 	if err != nil {
@@ -137,7 +136,7 @@ func run() error {
 	}
 
 	// One root span covers corpus collection and the guided pipeline;
-	// core.RunContext reuses it instead of opening a second root.
+	// core.RunJob reuses it instead of opening a second root.
 	ctx, root := obs.StartSpan(ctx, "pipeline", obs.A("app", app.Name), obs.A("rate", *rate))
 	defer root.End()
 
@@ -169,14 +168,25 @@ func run() error {
 		return fmt.Errorf("-worker-addrs requires -dispatch")
 	}
 
-	if *corpusDir != "" {
+	in := core.JobInputs{Prog: app.Program(), Spec: app.Spec}
+	var monElapsed time.Duration
+	// interrupted reports a SIGINT during collection: a cooperative stop,
+	// not a failure; there is no corpus yet, so there is no report.
+	interrupted := func(err error) bool {
+		if errors.Is(err, context.Canceled) {
+			fmt.Println("RESULT: interrupted during log collection — no report")
+			return true
+		}
+		return false
+	}
+	switch {
+	case *corpusDir != "":
 		// Store-backed pipeline: the statistical front-end streams off the
 		// segmented store instead of materializing the corpus.
 		store, err := corpusstore.Create(*corpusDir, app.Name)
 		if err != nil {
 			return err
 		}
-		var monElapsed time.Duration
 		if store.TotalRuns() > 0 {
 			fmt.Printf("-- reusing corpus store %s (%d runs, %d segments)\n",
 				*corpusDir, store.TotalRuns(), len(store.Segments()))
@@ -188,8 +198,7 @@ func run() error {
 				SampleRate: *rate, Seed: *seed, Correct: *runs, Faulty: *runs,
 			}, store, corpusstore.Options{})
 			if err != nil {
-				if errors.Is(err, context.Canceled) {
-					fmt.Println("RESULT: interrupted during log collection — no report")
+				if interrupted(err) {
 					return nil
 				}
 				return err
@@ -202,22 +211,9 @@ func run() error {
 		}
 		fmt.Printf("   corpus store: %d runs, %d locations, %d variables, %d KB on disk in %d segments (collected in %v)\n",
 			nR, nL, nV, store.TotalBytes()/1024, len(store.Segments()), monElapsed.Round(time.Millisecond))
-		rep, err := core.RunStoreContext(ctx, app.Program(), store, cfg)
-		if err != nil {
-			return err
-		}
-		rep.MonTime = monElapsed
-		if rep.Found() {
-			rt.NoteFault()
-		}
-		return printReport(rep, app, o, verbose, dotOut, htmlOut, witOut, minimize)
-	}
-
-	var corpus *trace.Corpus
-	var monElapsed time.Duration
-	if *corpusIn != "" {
-		var err error
-		corpus, err = trace.ReadFile(*corpusIn)
+		in.Store = store
+	case *corpusIn != "":
+		corpus, err := trace.ReadFile(*corpusIn)
 		if err != nil {
 			return err
 		}
@@ -225,29 +221,29 @@ func run() error {
 			return fmt.Errorf("corpus %s was collected for %q, not %q", *corpusIn, corpus.Program, app.Name)
 		}
 		fmt.Printf("-- loaded corpus %s\n", *corpusIn)
-	} else {
+		in.Corpus = corpus
+	default:
 		fmt.Printf("-- collecting %d correct + %d faulty runs at %.0f%% sampling\n", *runs, *runs, *rate*100)
 		monStart := time.Now()
-		var err error
-		corpus, err = workload.BuildCorpusCtx(ctx, app, workload.Options{
+		corpus, err := workload.BuildCorpusCtx(ctx, app, workload.Options{
 			SampleRate: *rate, Seed: *seed, Correct: *runs, Faulty: *runs,
 		})
 		if err != nil {
-			// A SIGINT during collection is a cooperative stop, not a
-			// failure; there is no corpus yet, so there is no report.
-			if errors.Is(err, context.Canceled) {
-				fmt.Println("RESULT: interrupted during log collection — no report")
+			if interrupted(err) {
 				return nil
 			}
 			return err
 		}
 		monElapsed = time.Since(monStart)
+		in.Corpus = corpus
 	}
-	nR, nL, nV := corpus.Counts()
-	fmt.Printf("   corpus: %d runs, %d locations, %d variables, ~%d KB (collected in %v)\n",
-		nR, nL, nV, corpus.SizeBytes()/1024, monElapsed.Round(time.Millisecond))
+	if in.Corpus != nil {
+		nR, nL, nV := in.Corpus.Counts()
+		fmt.Printf("   corpus: %d runs, %d locations, %d variables, ~%d KB (collected in %v)\n",
+			nR, nL, nV, in.Corpus.SizeBytes()/1024, monElapsed.Round(time.Millisecond))
+	}
 
-	rep, err := core.RunContext(ctx, app.Program(), corpus, cfg)
+	rep, err := core.RunJob(ctx, in, cfg)
 	if err != nil {
 		return err
 	}
@@ -258,8 +254,7 @@ func run() error {
 	return printReport(rep, app, o, verbose, dotOut, htmlOut, witOut, minimize)
 }
 
-// printReport renders the pipeline report — shared by the in-memory and
-// store-backed paths.
+// printReport renders the pipeline report.
 func printReport(rep *core.Report, app *apps.App, o *obs.Obs,
 	verbose *bool, dotOut, htmlOut, witOut *string, minimize *bool) error {
 	statNote := ""

@@ -55,12 +55,10 @@ func run() error {
 		scope     = flag.String("scope", "", "interpretation scope policy: \"\" or \"all\" interprets everything; \"all,-f,-g\" havocs f and g; \"f,g\" interprets exactly that list plus main")
 		summaries = flag.Bool("summaries", false, "replace summarizable in-scope calls by memoized path summaries")
 		workers   = flag.Int("workers", 0, "frontier workers (0: sequential engine; >=1: deterministic epoch engine, results independent of the count)")
-		freeRun   = flag.Bool("free-run", false, "with -workers > 1, drop the deterministic epoch barrier (maximum throughput, nondeterministic counters)")
 		traceOut  = flag.String("trace", "", "stream a JSONL event trace (spans, progress) to this file")
 		traceInt  = flag.Duration("trace-interval", time.Second, "progress-snapshot period for -trace")
 		metrics   = flag.Bool("metrics", false, "print the metrics registry at exit")
 		listen    = flag.String("listen", "", "serve live introspection (/metrics, /progress, /spans, pprof) on this address (e.g. localhost:6060)")
-		pprofAddr = flag.String("pprof", "", "deprecated alias for -listen (pprof rides the same mux)")
 		flightOut = flag.String("flight", "", "dump the flight-recorder ring (JSONL) to this file on fault, panic, or interrupt")
 		flightN   = flag.Int("flight-depth", flight.DefaultDepth, "flight-recorder events retained per category")
 
@@ -76,8 +74,8 @@ func run() error {
 	if *serveWorker != "" {
 		return runServeWorker(*serveWorker, *cacheDir, live.Options{
 			Binary: "symexec",
-			Listen: *listen, Pprof: *pprofAddr,
-			Trace: *traceOut, Interval: *traceInt, Metrics: *metrics,
+			Listen: *listen,
+			Trace:  *traceOut, Interval: *traceInt, Metrics: *metrics,
 			Flight: *flightOut, FlightDepth: *flightN,
 		})
 	}
@@ -154,10 +152,6 @@ func run() error {
 		}
 	}
 	opts.Workers = *workers
-	opts.FreeRun = *freeRun
-	if *freeRun && *workers <= 1 {
-		return fmt.Errorf("-free-run requires -workers > 1")
-	}
 	if *maxStates > 0 {
 		opts.MaxStates = *maxStates
 	}
@@ -184,8 +178,8 @@ func run() error {
 
 	rt, err := live.Init(live.Options{
 		Binary: "symexec",
-		Listen: *listen, Pprof: *pprofAddr,
-		Trace: *traceOut, Interval: *traceInt, Metrics: *metrics,
+		Listen: *listen,
+		Trace:  *traceOut, Interval: *traceInt, Metrics: *metrics,
 		Flight: *flightOut, FlightDepth: *flightN,
 	})
 	if err != nil {

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -33,7 +34,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	multi, err := core.RunMulti(app.Program(), corpus, core.Config{Spec: app.Spec})
+	multi, err := core.RunMulti(context.Background(), app.Program(), corpus, core.Config{Spec: app.Spec})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -36,7 +37,7 @@ func main() {
 		runs, locs, vars)
 
 	// Step 2+3: statistical analysis and guided symbolic execution.
-	rep, err := core.Run(app.Program(), corpus, core.Config{Spec: app.Spec})
+	rep, err := core.RunJob(context.Background(), core.JobInputs{Prog: app.Program(), Spec: app.Spec, Corpus: corpus}, core.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func main() {
 	fmt.Printf("witness: polymorph -h -f <%d-byte name> (buffer is 512 bytes)\n\n", len(name))
 
 	// Step 4: the pure baseline for comparison.
-	pure := core.RunPure(app.Program(), app.Spec, 20_000, 20_000_000, 2*time.Minute)
+	pure := core.RunPureContext(context.Background(), app.Program(), app.Spec, 20_000, 20_000_000, 2*time.Minute)
 	if pure.Found() {
 		fmt.Printf("pure symbolic execution: found after %d paths, %v\n",
 			pure.Paths, pure.Elapsed.Round(time.Millisecond))

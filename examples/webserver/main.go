@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -31,7 +32,7 @@ func main() {
 	// Pure symbolic execution first: it must drown in the per-character
 	// request-scanning forks.
 	fmt.Println("-- pure symbolic execution (KLEE baseline)")
-	pure := core.RunPure(app.Program(), app.Spec, 20_000, 5_000_000, 60*time.Second)
+	pure := core.RunPureContext(context.Background(), app.Program(), app.Spec, 20_000, 5_000_000, 60*time.Second)
 	if pure.Found() {
 		fmt.Printf("   unexpectedly found the bug after %d paths\n", pure.Paths)
 	} else {
@@ -49,7 +50,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := core.Run(app.Program(), corpus, core.Config{Spec: app.Spec})
+	rep, err := core.RunJob(context.Background(), core.JobInputs{Prog: app.Program(), Spec: app.Spec, Corpus: corpus}, core.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -179,7 +179,7 @@ func AblationGuidance(ctx context.Context, seed int64, budgets Budgets) ([]Ablat
 				DisableInter:         c.disInter,
 				DisablePredicates:    c.disPreds,
 			}
-			rep, err := core.RunContext(ctx, app.Program(), corpus, cfg)
+			rep, err := core.RunJob(ctx, core.JobInputs{Prog: app.Program(), Spec: app.Spec, Corpus: corpus}, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -228,7 +228,7 @@ func AblationTau(ctx context.Context, appName string, taus []int, seed int64, bu
 		if tau == 0 {
 			cfg.Tau = -1 // τ=0: any off-path hop suspends (Config treats 0 as default)
 		}
-		rep, err := core.RunContext(ctx, app.Program(), corpus, cfg)
+		rep, err := core.RunJob(ctx, core.JobInputs{Prog: app.Program(), Spec: app.Spec, Corpus: corpus}, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -279,7 +279,7 @@ func AblationFrontier(ctx context.Context, workerCounts []int, seed int64, budge
 				Workers:              w,
 				DisableSharedCache:   budgets.DisableSharedCache,
 			}
-			rep, err := core.RunContext(ctx, app.Program(), corpus, cfg)
+			rep, err := core.RunJob(ctx, core.JobInputs{Prog: app.Program(), Spec: app.Spec, Corpus: corpus}, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -400,7 +400,7 @@ func AblationSolverCachePersist(ctx context.Context, seed int64, budgets Budgets
 				CacheDir:             cacheDir,
 			}
 			start := time.Now()
-			rep, err := core.RunContext(ctx, app.Program(), corpus, cfg)
+			rep, err := core.RunJob(ctx, core.JobInputs{Prog: app.Program(), Spec: app.Spec, Corpus: corpus}, cfg)
 			if err != nil {
 				return AblationRow{}, err
 			}
@@ -498,7 +498,7 @@ func AblationSummaries(ctx context.Context, seed int64, budgets Budgets) ([]Abla
 				Scope:                budgets.Scope,
 				Summaries:            summarize,
 			}
-			rep, err := core.RunContext(ctx, app.Program(), corpus, cfg)
+			rep, err := core.RunJob(ctx, core.JobInputs{Prog: app.Program(), Spec: app.Spec, Corpus: corpus}, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -605,7 +605,7 @@ func AblationDispatch(ctx context.Context, workerCounts []int, seed int64, budge
 				if err := ctx.Err(); err != nil {
 					return rows, err
 				}
-				r, err := core.RunContext(ctx, app.Program(), corpus, cfg)
+				r, err := core.RunJob(ctx, core.JobInputs{Prog: app.Program(), Spec: app.Spec, Corpus: corpus}, cfg)
 				if err != nil {
 					return nil, err
 				}

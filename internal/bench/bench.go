@@ -37,10 +37,10 @@ type Budgets struct {
 	GuidedMaxSteps int64
 	GuidedTimeout  time.Duration
 
-	// Parallel is the candidate-verification worker count handed to
-	// core.Config.Parallel by every experiment that runs the guided
-	// pipeline. 0 and 1 keep the sequential loop; the reported counters
-	// are identical either way (the parallel engine's determinism
+	// Parallel is the number of local candidate-verification slots handed
+	// to core.Config.Parallel by every experiment that runs the guided
+	// pipeline. 0 and 1 mean one slot, the sequential loop; the reported
+	// counters are identical for any value (the slot pool's determinism
 	// guarantee), only wall-clock time changes.
 	Parallel int
 
@@ -138,7 +138,7 @@ type ModuleRow struct {
 // Cancelling ctx aborts the guided search and surfaces the partial report's
 // error state to the experiment driver. When an observability handle rides
 // in ctx, the whole run — corpus collection included — is wrapped in one
-// "pipeline" root span (core.RunContext reuses it rather than opening a
+// "pipeline" root span (core.RunJob reuses it rather than opening a
 // second root), and the report carries the monitor phase's wall time.
 func RunPipeline(ctx context.Context, app *apps.App, rate float64, seed int64, budgets Budgets) (*core.Report, error) {
 	ctx, root := obs.StartSpan(ctx, "pipeline", obs.A("app", app.Name), obs.A("rate", rate))
@@ -164,7 +164,7 @@ func RunPipeline(ctx context.Context, app *apps.App, rate float64, seed int64, b
 	if budgets.CacheDir != "" {
 		cfg.CacheDir = filepath.Join(budgets.CacheDir, app.Name)
 	}
-	rep, err := core.RunContext(ctx, app.Program(), corpus, cfg)
+	rep, err := core.RunJob(ctx, core.JobInputs{Prog: app.Program(), Spec: app.Spec, Corpus: corpus}, cfg)
 	if rep != nil {
 		rep.MonTime = monTime
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/bytecode"
@@ -60,8 +61,8 @@ func main() int {
 	}}
 	cfg := Config{PerCandidateMaxSteps: 200_000}
 
-	outBad, vulnBad := VerifyCandidate(prog, bad, cfg)
-	outGood, vulnGood := VerifyCandidate(prog, good, cfg)
+	outBad, vulnBad := VerifyCandidateCtx(context.Background(), prog, bad, 1, cfg)
+	outGood, vulnGood := VerifyCandidateCtx(context.Background(), prog, good, 1, cfg)
 
 	// The bad candidate may or may not stumble onto the bug via fallback
 	// (footnote 1 semantics); the good candidate must find it quickly
@@ -93,7 +94,7 @@ func TestPipelineIteratesCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(app.Program(), corpus, Config{Spec: app.Spec})
+	rep, err := runCorpus(context.Background(), app.Program(), corpus, Config{Spec: app.Spec})
 	if err != nil {
 		t.Fatal(err)
 	}

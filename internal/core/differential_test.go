@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -25,11 +26,11 @@ func TestSummarizeDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := Run(app.Program(), corpus, Config{Spec: app.Spec})
+			ref, err := runCorpus(context.Background(), app.Program(), corpus, Config{Spec: app.Spec})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := Run(app.Program(), corpus, Config{Spec: app.Spec, Summaries: true})
+			got, err := runCorpus(context.Background(), app.Program(), corpus, Config{Spec: app.Spec, Summaries: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -39,7 +40,7 @@ func TestSummarizeDifferential(t *testing.T) {
 			// The digest is the contract: same detection, same site, same
 			// per-candidate outcomes. The faulting trace itself may differ
 			// in intermediate hops (summaries change effort, not findings);
-			// witness validity is already enforced by VerifyCandidate's
+			// witness validity is already enforced by VerifyCandidateCtx's
 			// concrete replay.
 			if ref.Found() && (got.Vuln == nil || got.Vuln.Witness == nil) {
 				t.Error("summarize run found the vuln but carries no witness")
@@ -60,7 +61,7 @@ func TestScopePolicyInvalidSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(app.Program(), corpus, Config{Spec: app.Spec, Scope: "all,bogusmix"})
+	_, err = runCorpus(context.Background(), app.Program(), corpus, Config{Spec: app.Spec, Scope: "all,bogusmix"})
 	if err == nil {
 		t.Fatal("invalid scope spec should fail the pipeline")
 	}
@@ -80,7 +81,7 @@ func TestSummaryCacheSharedRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Run(app.Program(), corpus, Config{Spec: app.Spec})
+	ref, err := runCorpus(context.Background(), app.Program(), corpus, Config{Spec: app.Spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestSummaryCacheSharedRace(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			cfg := Config{Spec: app.Spec, Summaries: true, Parallel: 2, Workers: 2}
-			rep, err := Run(app.Program(), corpus, cfg)
+			rep, err := runCorpus(context.Background(), app.Program(), corpus, cfg)
 			if err != nil {
 				errs[i] = err
 				return

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bytecode"
@@ -20,21 +19,20 @@ import (
 	"repro/internal/symexec/snapshot"
 )
 
-// Distributed candidate verification (the coordinator side of the
-// coordinator/worker topology; internal/dispatch is the wire, this file is
-// the scheduler).
+// Distributed candidate verification: the attempt-unit codec, the
+// worker-side unit executor, and the dispatch audit log
+// (internal/dispatch is the wire; verify.go's slot pool is the scheduler,
+// where each dialed worker is one more slot).
 //
 // The unit of distribution is one whole candidate attempt: hermetic by
 // construction (VerifyCandidateCtx builds its own executor, solver, and
 // guidance over the shipped program), deterministic under step/state
 // budgets, and large enough that the wire cost — one program + spec +
 // candidate out, one outcome back — is noise against the attempt itself.
-// Local slots and remote workers pull ranks from one shared queue, so
-// workers steal exactly the attempts the local slots have not claimed;
-// outcomes merge through the same rank-order replay as the in-process
-// parallel engine (mergeAttempts), which is what makes DetectionDigest
-// byte-identical for every topology: zero workers, N workers, or workers
-// that crash mid-unit (their units re-run locally).
+// Remote outcomes merge through the same rank-order replay as local ones
+// (mergeAttempts), which is what makes DetectionDigest byte-identical for
+// every topology: zero workers, N workers, or workers that crash mid-unit
+// (their units re-run locally).
 
 // attemptUnitVersion versions the FrameAttemptUnit payload.
 const attemptUnitVersion = 1
@@ -377,7 +375,11 @@ func openDispatchLog(path string, o *obs.Obs) *dispatchLog {
 	return l
 }
 
+// note records one event. A nil log (Dispatch off) records nothing.
 func (l *dispatchLog) note(ev DispatchEvent) {
+	if l == nil {
+		return
+	}
 	ev.T = time.Now()
 	l.mu.Lock()
 	if l.enc != nil {
@@ -406,198 +408,7 @@ func (l *dispatchLog) note(ev DispatchEvent) {
 }
 
 func (l *dispatchLog) close() {
-	if l.f != nil {
+	if l != nil && l.f != nil {
 		l.f.Close()
-	}
-}
-
-// verifyCandidatesDispatch verifies cands under the coordinator/worker
-// backend and merges the outcomes into rep deterministically. Invoked by
-// RunContext when cfg.Dispatch is set.
-//
-// Topology: max(1, cfg.Parallel) local slots plus one puller per connected
-// worker, all draining one rank queue — remote workers steal whatever the
-// local slots have not claimed. Any worker failure (dial, transport,
-// deadline, or a unit-level error) re-runs that unit locally on the same
-// goroutine, so a lost worker costs speed, never a detection.
-func verifyCandidatesDispatch(ctx context.Context, prog *bytecode.Program, cands []*pathid.CandidatePath, cfg Config, rep *Report) {
-	o := obs.FromContext(ctx)
-	dlog := openDispatchLog(cfg.DispatchLog, o)
-	defer dlog.close()
-
-	attempts := make([]attempt, len(cands))
-	ctxs := make([]context.Context, len(cands))
-	cancels := make([]context.CancelFunc, len(cands))
-	for i := range cands {
-		ctxs[i], cancels[i] = context.WithCancel(ctx)
-	}
-	defer func() {
-		for _, cancel := range cancels {
-			cancel()
-		}
-	}()
-
-	// Winner machinery, identical to the in-process parallel engine: the
-	// lowest successful rank cancels every higher-ranked sibling.
-	var mu sync.Mutex
-	winner := 0
-	noteSuccess := func(rank int) {
-		mu.Lock()
-		defer mu.Unlock()
-		if winner != 0 && winner <= rank {
-			return
-		}
-		winner = rank
-		for i := rank; i < len(cancels); i++ {
-			cancels[i]()
-		}
-	}
-	beyondWinner := func(rank int) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return winner != 0 && rank > winner
-	}
-
-	var remote, local, redispatched, dead atomic.Int64
-	runLocal := func(i int) {
-		rank := i + 1
-		outcome, vuln := VerifyCandidateCtx(ctxs[i], prog, cands[i], rank, cfg)
-		attempts[i] = attempt{outcome: outcome, vuln: vuln, complete: !outcome.Cancelled}
-		if vuln != nil {
-			noteSuccess(rank)
-		}
-	}
-
-	indices := make(chan int)
-	var wg sync.WaitGroup
-	// Feeding starts only after every puller is parked at the queue
-	// (ready.Wait below). Without the barrier, a single-core scheduler can
-	// let the first local slot drain the whole queue before a worker
-	// goroutine ever runs — turning every remote topology into a de facto
-	// local run. With it, the first sends hand one rank to each parked
-	// puller, so connected workers always get a chance to steal.
-	var ready sync.WaitGroup
-
-	// Local slots. Dispatch works with Parallel unset — one local slot
-	// keeps draining ranks the workers do not steal.
-	slots := cfg.Parallel
-	if slots < 1 {
-		slots = 1
-	}
-	if slots > len(cands) {
-		slots = len(cands)
-	}
-	for s := 0; s < slots; s++ {
-		wg.Add(1)
-		ready.Add(1)
-		go func() {
-			defer wg.Done()
-			ready.Done()
-			for i := range indices {
-				rank := i + 1
-				if beyondWinner(rank) || ctxs[i].Err() != nil {
-					continue
-				}
-				dlog.note(DispatchEvent{Event: "local", Rank: rank})
-				local.Add(1)
-				runLocal(i)
-			}
-		}()
-	}
-
-	// Worker pullers: one goroutine per connected worker, pulling from
-	// the same queue (that pull IS the steal). The attempt ships encoded;
-	// any failure falls back to runLocal on this goroutine, and a dead
-	// client stops pulling.
-	for _, addr := range cfg.WorkerAddrs {
-		c, err := dispatch.Dial(addr)
-		if err != nil {
-			dlog.note(DispatchEvent{Event: "dial_failed", Worker: addr, Err: err.Error()})
-			obs.Warn(ctx, "dispatch worker unreachable", obs.A("addr", addr), obs.A("error", err.Error()))
-			dead.Add(1)
-			continue
-		}
-		dlog.note(DispatchEvent{Event: "dial", Worker: addr})
-		// Caller cancellation severs in-flight round trips: closing the
-		// connection fails the pending Do, and the puller's local re-run
-		// sees the already-cancelled per-rank context, so it records the
-		// partial attempt and unwinds — same accounting as the in-process
-		// engines.
-		stop := context.AfterFunc(ctx, func() { c.Close() })
-		wg.Add(1)
-		ready.Add(1)
-		go func(addr string, c *dispatch.Client) {
-			defer wg.Done()
-			defer stop()
-			defer c.Close()
-			ready.Done()
-			for i := range indices {
-				rank := i + 1
-				if beyondWinner(rank) || ctxs[i].Err() != nil {
-					continue
-				}
-				if c.Dead() != nil {
-					// A dead worker's puller degrades into one more local
-					// slot so queued ranks never stall behind it.
-					dlog.note(DispatchEvent{Event: "local", Rank: rank})
-					local.Add(1)
-					runLocal(i)
-					continue
-				}
-				dlog.note(DispatchEvent{Event: "steal", Rank: rank, Worker: addr})
-				unit := EncodeAttemptUnit(prog, cands[i], rank, cfg)
-				if o != nil {
-					o.Metrics.Counter(obs.MetricDispatchUnitBytes).Add(int64(len(unit)))
-				}
-				reply, err := c.Do(snapshot.FrameAttemptUnit, unit, cfg.UnitDeadline)
-				var outcome CandidateOutcome
-				var vuln *symexec.Vulnerability
-				if err == nil {
-					if o != nil {
-						o.Metrics.Counter(obs.MetricDispatchResultBytes).Add(int64(len(reply)))
-					}
-					outcome, vuln, err = decodeAttemptResult(reply)
-				}
-				if err != nil {
-					if c.Dead() != nil {
-						dlog.note(DispatchEvent{Event: "worker_dead", Worker: addr, Err: c.Dead().Error()})
-						dead.Add(1)
-					}
-					dlog.note(DispatchEvent{Event: "redispatch", Rank: rank, Worker: addr, Err: err.Error()})
-					obs.Warn(ctx, "dispatch unit re-run locally",
-						obs.A("rank", rank), obs.A("addr", addr), obs.A("error", err.Error()))
-					redispatched.Add(1)
-					runLocal(i)
-					continue
-				}
-				remote.Add(1)
-				attempts[i] = attempt{outcome: outcome, vuln: vuln, complete: !outcome.Cancelled}
-				if vuln != nil {
-					noteSuccess(rank)
-				}
-			}
-		}(addr, c)
-	}
-
-	ready.Wait()
-	for i := range cands {
-		indices <- i
-	}
-	close(indices)
-	wg.Wait()
-
-	mergeAttempts(rep, attempts)
-	rep.DispatchRemote = int(remote.Load())
-	rep.DispatchLocal = int(local.Load())
-	rep.DispatchRedispatched = int(redispatched.Load())
-	rep.DispatchWorkersDead = int(dead.Load())
-	dlog.note(DispatchEvent{Event: "merge", Winner: rep.CandidateUsed,
-		Remote: rep.DispatchRemote, Local: rep.DispatchLocal, Redisp: rep.DispatchRedispatched})
-	if o != nil {
-		m := o.Metrics
-		m.Counter(obs.MetricDispatchRemote).Add(int64(rep.DispatchRemote))
-		m.Counter(obs.MetricDispatchLocal).Add(int64(rep.DispatchLocal))
-		m.Counter(obs.MetricDispatchRedispatched).Add(int64(rep.DispatchRedispatched))
-		m.Counter(obs.MetricDispatchWorkersDead).Add(int64(rep.DispatchWorkersDead))
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"net"
 	"os"
@@ -75,16 +76,17 @@ func requireSameOutcomes(t *testing.T, label string, ref, got *Report) {
 // TestDispatchDifferential pins the tentpole invariant on all five
 // evaluation apps: the detection digest (and every deterministic outcome
 // counter) is byte-identical whether candidates are verified by the
-// sequential loop, a local-only dispatch pool, one or two real worker
-// processes, or a mixed topology with local parallelism — and at least one
-// unit is actually stolen by a worker across the sweep.
+// sequential reference loop, the default one-local-slot pool, a local-only
+// dispatch pool, one or two real worker processes, or a mixed topology
+// with local parallelism — and at least one unit is actually stolen by a
+// worker across the sweep.
 func TestDispatchDifferential(t *testing.T) {
 	totalRemote := 0
 	for _, name := range dispatchApps {
 		t.Run(name, func(t *testing.T) {
 			app, corpus := dispatchCorpus(t, name)
 			base := Config{Spec: app.Spec}
-			ref, err := Run(app.Program(), corpus, base)
+			ref, err := runSequentialOracle(app.Program(), corpus, base)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,6 +97,7 @@ func TestDispatchDifferential(t *testing.T) {
 				label string
 				cfg   func(Config) Config
 			}{
+				{"one-local-slot", func(c Config) Config { return c }},
 				{"dispatch-local-only", func(c Config) Config { c.Dispatch = true; return c }},
 				{"dispatch-1-worker", func(c Config) Config { c.Dispatch = true; c.WorkerAddrs = []string{w1}; return c }},
 				{"dispatch-2-workers", func(c Config) Config { c.Dispatch = true; c.WorkerAddrs = []string{w1, w2}; return c }},
@@ -106,7 +109,7 @@ func TestDispatchDifferential(t *testing.T) {
 				}},
 			}
 			for _, topo := range topologies {
-				got, err := Run(app.Program(), corpus, topo.cfg(base))
+				got, err := runCorpus(context.Background(), app.Program(), corpus, topo.cfg(base))
 				if err != nil {
 					t.Fatalf("%s: %v", topo.label, err)
 				}
@@ -128,7 +131,7 @@ func TestDispatchDifferential(t *testing.T) {
 func TestDispatchWorkerCrashRecovery(t *testing.T) {
 	app, corpus := dispatchCorpus(t, "polymorph")
 	base := Config{Spec: app.Spec}
-	ref, err := Run(app.Program(), corpus, base)
+	ref, err := runSequentialOracle(app.Program(), corpus, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +170,7 @@ func TestDispatchWorkerCrashRecovery(t *testing.T) {
 	// immune to scheduler pathology on loaded single-core hosts.
 	redispatched := 0
 	for try := 0; try < 5 && redispatched == 0; try++ {
-		got, err := Run(app.Program(), corpus, cfg)
+		got, err := runCorpus(context.Background(), app.Program(), corpus, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +191,7 @@ func TestDispatchWorkerCrashRecovery(t *testing.T) {
 func TestDispatchDeadlineRecovery(t *testing.T) {
 	app, corpus := dispatchCorpus(t, "polymorph")
 	base := Config{Spec: app.Spec}
-	ref, err := Run(app.Program(), corpus, base)
+	ref, err := runSequentialOracle(app.Program(), corpus, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +222,7 @@ func TestDispatchDeadlineRecovery(t *testing.T) {
 	cfg.Dispatch = true
 	cfg.WorkerAddrs = []string{addr}
 	cfg.UnitDeadline = 200 * time.Millisecond
-	got, err := Run(app.Program(), corpus, cfg)
+	got, err := runCorpus(context.Background(), app.Program(), corpus, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +237,7 @@ func TestAttemptUnitRoundTrip(t *testing.T) {
 	app, corpus := dispatchCorpus(t, "polymorph")
 	cfg := Config{Spec: app.Spec, Tau: 7, MinPredScore: 0.25,
 		PerCandidateMaxSteps: 12345, MaxStates: 99, Workers: 3, Scope: "all", Summaries: true}
-	rep, err := Run(app.Program(), corpus, Config{Spec: app.Spec})
+	rep, err := runCorpus(context.Background(), app.Program(), corpus, Config{Spec: app.Spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +282,7 @@ func TestDispatchLogWritten(t *testing.T) {
 	w := startCoreWorker(t, WorkerConfig{})
 	logPath := filepath.Join(t.TempDir(), "dispatch.jsonl")
 	cfg := Config{Spec: app.Spec, Dispatch: true, WorkerAddrs: []string{w}, DispatchLog: logPath}
-	if _, err := Run(app.Program(), corpus, cfg); err != nil {
+	if _, err := runCorpus(context.Background(), app.Program(), corpus, cfg); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(logPath)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/apps"
@@ -18,7 +19,7 @@ func TestRunMultiMsgtool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := RunMulti(app.Program(), corpus, Config{Spec: app.Spec})
+	multi, err := RunMulti(context.Background(), app.Program(), corpus, Config{Spec: app.Spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestRunMultiSingleBugDegeneratesToRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := RunMulti(app.Program(), corpus, Config{Spec: app.Spec})
+	multi, err := RunMulti(context.Background(), app.Program(), corpus, Config{Spec: app.Spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestBillingIntegerPredicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(app.Program(), corpus, Config{Spec: app.Spec})
+	rep, err := runCorpus(context.Background(), app.Program(), corpus, Config{Spec: app.Spec})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func TestLiveIntrospectionDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bare, err := Run(app.Program(), corpus, Config{Spec: app.Spec})
+			bare, err := runCorpus(context.Background(), app.Program(), corpus, Config{Spec: app.Spec})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,7 +77,7 @@ func TestLiveIntrospectionDifferential(t *testing.T) {
 			}()
 
 			ctx := obs.NewContext(context.Background(), o)
-			observed, err := RunContext(ctx, app.Program(), corpus, Config{Spec: app.Spec})
+			observed, err := runCorpus(ctx, app.Program(), corpus, Config{Spec: app.Spec})
 			stopScrape()
 			wg.Wait()
 			if err != nil {

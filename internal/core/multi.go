@@ -43,15 +43,10 @@ func (m *MultiReport) Found() int {
 // RunMulti discovers multiple vulnerabilities: it partitions the faulty
 // runs by fault signature, then runs the StatSym pipeline once per
 // cluster, pairing each cluster's faulty logs with the full set of correct
-// logs. Clusters are processed in decreasing size.
-func RunMulti(prog *bytecode.Program, corpus *trace.Corpus, cfg Config) (*MultiReport, error) {
-	return RunMultiContext(context.Background(), prog, corpus, cfg)
-}
-
-// RunMultiContext is RunMulti under a context: cancellation stops after
-// the in-flight cluster's pipeline winds down, returning the clusters
-// processed so far.
-func RunMultiContext(ctx context.Context, prog *bytecode.Program, corpus *trace.Corpus, cfg Config) (*MultiReport, error) {
+// logs. Clusters are processed in decreasing size. Cancellation stops
+// after the in-flight cluster's pipeline winds down, returning the
+// clusters processed so far.
+func RunMulti(ctx context.Context, prog *bytecode.Program, corpus *trace.Corpus, cfg Config) (*MultiReport, error) {
 	correct, faulty := corpus.Split()
 
 	type key struct{ fn, kind string }
@@ -88,7 +83,7 @@ func RunMultiContext(ctx context.Context, prog *bytecode.Program, corpus *trace.
 		for _, r := range members {
 			sub.Runs = append(sub.Runs, *r)
 		}
-		rep, err := RunContext(ctx, prog, sub, cfg)
+		rep, err := RunJob(ctx, JobInputs{Prog: prog, Spec: cfg.Spec, Corpus: sub}, cfg)
 		if err != nil {
 			return out, err
 		}

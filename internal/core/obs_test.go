@@ -40,7 +40,7 @@ func runObserved(t *testing.T, name string, mut func(*Config)) (*Report, []obs.E
 	}
 	rec := &obs.Recorder{}
 	ctx := obs.NewContext(context.Background(), obs.New(rec))
-	rep, err := RunContext(ctx, app.Program(), corpus, cfg)
+	rep, err := runCorpus(ctx, app.Program(), corpus, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestJSONLTraceParses(t *testing.T) {
 	o := obs.New(sink)
 	o.Interval = time.Millisecond
 	ctx := obs.NewContext(context.Background(), o)
-	rep, err := RunContext(ctx, app.Program(), corpus, Config{Spec: app.Spec})
+	rep, err := runCorpus(ctx, app.Program(), corpus, Config{Spec: app.Spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestParallelCancelAccountingInvariant(t *testing.T) {
 	app, corpus := obsCorpus(t, "thttpd")
 	for _, delay := range []time.Duration{time.Millisecond, 10 * time.Millisecond} {
 		ctx, cancel := context.WithTimeout(context.Background(), delay)
-		rep, err := RunContext(ctx, app.Program(), corpus, Config{Spec: app.Spec, Parallel: 4})
+		rep, err := runCorpus(ctx, app.Program(), corpus, Config{Spec: app.Spec, Parallel: 4})
 		cancel()
 		if err != nil {
 			t.Fatal(err)

@@ -9,8 +9,9 @@ import (
 )
 
 // runBoth executes the pipeline on one corpus twice — the paper's
-// sequential loop and the parallel verifier — under step/state budgets
-// only (no wall-clock limits), so both runs are fully deterministic.
+// sequential loop (the reference oracle) and the slot pool with several
+// local slots — under step/state budgets only (no wall-clock limits), so
+// both runs are fully deterministic.
 func runBoth(t *testing.T, name string, workers int) (seq, par *Report) {
 	t.Helper()
 	app, err := apps.Get(name)
@@ -22,13 +23,13 @@ func runBoth(t *testing.T, name string, workers int) (seq, par *Report) {
 		t.Fatal(err)
 	}
 	base := Config{Spec: app.Spec}
-	seq, err = Run(app.Program(), corpus, base)
+	seq, err = runSequentialOracle(app.Program(), corpus, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	parCfg := base
 	parCfg.Parallel = workers
-	par, err = Run(app.Program(), corpus, parCfg)
+	par, err = runCorpus(context.Background(), app.Program(), corpus, parCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func runBoth(t *testing.T, name string, workers int) (seq, par *Report) {
 
 // TestParallelMatchesSequential: with Parallel > 1 the report's counters
 // must be identical to the sequential loop on every evaluation app — the
-// determinism guarantee documented on verifyCandidatesParallel.
+// determinism guarantee documented on verifyCandidates.
 func TestParallelMatchesSequential(t *testing.T) {
 	for _, name := range []string{"polymorph", "ctree", "thttpd", "grep"} {
 		t.Run(name, func(t *testing.T) {
@@ -102,7 +103,7 @@ func TestSharedCacheDeterminism(t *testing.T) {
 			}
 			var ref *Report
 			for ci, cfg := range configs {
-				rep, err := Run(app.Program(), corpus, cfg)
+				rep, err := runCorpus(context.Background(), app.Program(), corpus, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -153,7 +154,7 @@ func TestParallelWorkerCountInvariance(t *testing.T) {
 	var reference *Report
 	for _, workers := range []int{2, 8} {
 		cfg := Config{Spec: app.Spec, Parallel: workers}
-		rep, err := Run(app.Program(), corpus, cfg)
+		rep, err := runCorpus(context.Background(), app.Program(), corpus, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +187,7 @@ func TestRunContextAlreadyCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rep, err := RunContext(ctx, app.Program(), corpus, Config{Spec: app.Spec})
+	rep, err := runCorpus(ctx, app.Program(), corpus, Config{Spec: app.Spec})
 	if err != nil {
 		t.Fatalf("cancelled pipeline returned error: %v", err)
 	}
@@ -210,7 +211,7 @@ func TestRunContextAlreadyCancelled(t *testing.T) {
 }
 
 // TestRunContextAlreadyCancelledParallel: same contract through the
-// parallel verifier.
+// pool with several local slots.
 func TestRunContextAlreadyCancelledParallel(t *testing.T) {
 	app, err := apps.Get("thttpd")
 	if err != nil {
@@ -222,7 +223,7 @@ func TestRunContextAlreadyCancelledParallel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rep, err := RunContext(ctx, app.Program(), corpus, Config{Spec: app.Spec, Parallel: 4})
+	rep, err := runCorpus(ctx, app.Program(), corpus, Config{Spec: app.Spec, Parallel: 4})
 	if err != nil {
 		t.Fatalf("cancelled parallel pipeline returned error: %v", err)
 	}
@@ -245,7 +246,7 @@ func TestVerifyCandidateRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(app.Program(), corpus, Config{Spec: app.Spec})
+	rep, err := runCorpus(context.Background(), app.Program(), corpus, Config{Spec: app.Spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,9 +257,5 @@ func TestVerifyCandidateRank(t *testing.T) {
 	out, _ := VerifyCandidateCtx(context.Background(), app.Program(), cand, 3, Config{Spec: app.Spec})
 	if out.Index != 3 {
 		t.Errorf("outcome Index = %d, want the rank passed in (3)", out.Index)
-	}
-	legacy, _ := VerifyCandidate(app.Program(), cand, Config{Spec: app.Spec})
-	if legacy.Index != 1 {
-		t.Errorf("legacy wrapper Index = %d, want 1", legacy.Index)
 	}
 }

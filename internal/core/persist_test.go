@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -30,7 +31,7 @@ func TestPersistColdWarmDifferential(t *testing.T) {
 			}
 			dir := t.TempDir()
 
-			cold, err := Run(app.Program(), corpus, Config{Spec: app.Spec, CacheDir: dir})
+			cold, err := runCorpus(context.Background(), app.Program(), corpus, Config{Spec: app.Spec, CacheDir: dir})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -42,7 +43,7 @@ func TestPersistColdWarmDifferential(t *testing.T) {
 				t.Fatal("cold run spilled nothing — warm start has nothing to work with")
 			}
 
-			warm, err := Run(app.Program(), corpus, Config{Spec: app.Spec, CacheDir: dir})
+			warm, err := runCorpus(context.Background(), app.Program(), corpus, Config{Spec: app.Spec, CacheDir: dir})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,7 +80,7 @@ func TestPersistColdWarmDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			poisoned, err := Run(app.Program(), corpus, Config{Spec: app.Spec, CacheDir: dir})
+			poisoned, err := runCorpus(context.Background(), app.Program(), corpus, Config{Spec: app.Spec, CacheDir: dir})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,7 +113,7 @@ func TestStatsCacheFallbacks(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	cold, err := Run(app.Program(), corpus, Config{Spec: app.Spec, CacheDir: dir})
+	cold, err := runCorpus(context.Background(), app.Program(), corpus, Config{Spec: app.Spec, CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestStatsCacheFallbacks(t *testing.T) {
 	if err := os.WriteFile(memo, []byte(`{"version":`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Run(app.Program(), corpus, Config{Spec: app.Spec, CacheDir: dir})
+	warm, err := runCorpus(context.Background(), app.Program(), corpus, Config{Spec: app.Spec, CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestStatsCacheFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(app.Program(), other, Config{Spec: app.Spec, CacheDir: dir})
+	rep, err := runCorpus(context.Background(), app.Program(), other, Config{Spec: app.Spec, CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,10 +153,10 @@ func TestStatsCacheFallbacks(t *testing.T) {
 
 	// NeedGraph: warm run with a matching memo still derives, and carries
 	// the graph the memo cannot.
-	if _, err := Run(app.Program(), other, Config{Spec: app.Spec, CacheDir: dir}); err != nil {
+	if _, err := runCorpus(context.Background(), app.Program(), other, Config{Spec: app.Spec, CacheDir: dir}); err != nil {
 		t.Fatal(err) // reseed the memo for `other`
 	}
-	gr, err := Run(app.Program(), other, Config{Spec: app.Spec, CacheDir: dir, NeedGraph: true})
+	gr, err := runCorpus(context.Background(), app.Program(), other, Config{Spec: app.Spec, CacheDir: dir, NeedGraph: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestPersistIncrementalNoChanges(t *testing.T) {
 		t.Fatal("plan against an empty dir is not fresh")
 	}
 
-	cold, err := Run(app.Program(), corpus, Config{Spec: app.Spec, CacheDir: dir})
+	cold, err := runCorpus(context.Background(), app.Program(), corpus, Config{Spec: app.Spec, CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestPersistIncrementalNoChanges(t *testing.T) {
 		t.Fatalf("unchanged program diffed as changed: %+v", plan.Diff)
 	}
 
-	warm, err := Run(app.Program(), corpus, Config{Spec: app.Spec, CacheDir: dir, Incremental: true})
+	warm, err := runCorpus(context.Background(), app.Program(), corpus, Config{Spec: app.Spec, CacheDir: dir, Incremental: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/summary"
 	"repro/internal/symexec"
-	"repro/internal/trace"
 )
 
 // Config tunes the StatSym pipeline.
@@ -24,10 +23,6 @@ type Config struct {
 	MinPredScore float64
 	// Path tunes candidate-path construction.
 	Path pathid.Config
-	// Stream tunes the streaming statistical front-end used by the
-	// store-backed pipeline (RunStoreContext); ignored by the in-memory
-	// path. Both settings are exact — they never change the analysis.
-	Stream stats.StreamOpts
 	// Spec is the symbolic-input configuration shared with the baseline.
 	Spec *symexec.InputSpec
 
@@ -43,12 +38,12 @@ type Config struct {
 	// TotalTimeout bounds the whole symbolic-execution phase.
 	TotalTimeout time.Duration
 
-	// Parallel is the candidate-verification worker count. Values above 1
-	// verify the ranked candidate paths concurrently (see parallel.go);
-	// 0 and 1 keep the sequential Fig. 5 loop. Outcomes and report
-	// counters are deterministic in rank order regardless of the value,
-	// provided the per-candidate budgets are step/state bounds rather
-	// than wall-clock ones.
+	// Parallel is the number of local slots verifying the ranked
+	// candidate paths (verify.go); 0 and 1 mean one slot, which is the
+	// paper's sequential Fig. 5 loop. Outcomes and report counters are
+	// deterministic in rank order regardless of the value, provided the
+	// per-candidate budgets are step/state bounds rather than wall-clock
+	// ones.
 	Parallel int
 
 	// Workers is the in-candidate frontier worker count handed to the
@@ -61,15 +56,15 @@ type Config struct {
 	// worker-count-invariant), only the wall-clock split.
 	Workers int
 
-	// Dispatch selects the coordinator/worker candidate-verification
-	// backend (dispatch.go): ranked candidate attempts are pulled from one
-	// shared queue by local slots and by one goroutine per connected
-	// worker process, so remote workers steal whatever the local slots
-	// have not claimed yet. Outcomes merge in rank order exactly like the
-	// in-process engines, so DetectionDigest is byte-identical for any
-	// topology — zero workers, N workers, or workers that die mid-run.
-	// Works with an empty WorkerAddrs (a local-only dispatch run, useful
-	// for A/B tests).
+	// Dispatch adds one remote slot per WorkerAddrs entry to the
+	// verification pool (verify.go, dispatch.go): each pulls ranks from
+	// the same queue as the local slots, so remote workers steal whatever
+	// the local slots have not claimed yet. Outcomes merge in rank order
+	// exactly like local ones, so DetectionDigest is byte-identical for
+	// any topology — zero workers, N workers, or workers that die mid-run.
+	// Dispatch also turns on the dispatch log and the Dispatch* report
+	// telemetry; with an empty WorkerAddrs it is a local-only run, useful
+	// for A/B tests.
 	Dispatch bool
 	// WorkerAddrs lists worker processes to dial (dispatch.SplitAddr
 	// syntax: "unix:/path", "/path", "tcp:host:port", "host:port"). A
@@ -91,7 +86,7 @@ type Config struct {
 	DisablePredicates bool
 
 	// DisableSharedCache turns off the cross-candidate solver cache that
-	// RunContext otherwise installs (ablations and A/B determinism tests).
+	// RunJob otherwise installs (ablations and A/B determinism tests).
 	// The shared cache only ever changes wall-clock time — verdicts and
 	// Report counters are identical with it on or off.
 	DisableSharedCache bool
@@ -133,7 +128,7 @@ type Config struct {
 	Summaries bool
 
 	// sharedCache is the cross-candidate solver cache threaded by
-	// RunContext into every candidate verification of one pipeline run.
+	// RunJob into every candidate verification of one pipeline run.
 	sharedCache *solver.SharedCache
 	// calls is the compositional call strategy shared by every candidate
 	// attempt of one pipeline run; summaryCache is the cross-attempt
@@ -197,8 +192,8 @@ func (cfg Config) effectiveWorkers() int {
 }
 
 // withDefaults returns cfg with unset tunables replaced by the paper
-// defaults. Every pipeline entry point (sequential, parallel, and direct
-// candidate verification) normalizes its Config through this single place.
+// defaults. Every pipeline entry point (RunJob and direct candidate
+// verification) normalizes its Config through this single place.
 func (cfg Config) withDefaults() Config {
 	if cfg.Tau == 0 {
 		cfg.Tau = DefaultTau
@@ -289,7 +284,7 @@ type Report struct {
 	// MonTime is the corpus-collection (monitor) wall time when the
 	// caller collected logs as part of this run; zero when a pre-built
 	// corpus was loaded. Set by the caller (cmd/statsym, bench) since
-	// collection happens before RunContext.
+	// collection happens before RunJob.
 	MonTime time.Duration
 
 	// TotalPaths sums paths explored across attempts (Table IV).
@@ -297,9 +292,9 @@ type Report struct {
 	// partial counters of an attempt interrupted mid-flight by a caller
 	// cancellation (that attempt appears in Candidates with
 	// Cancelled=true) but never the work of ranks the run did not reach —
-	// in parallel runs, attempts cancelled because a lower rank already
+	// with several slots, attempts cancelled because a lower rank already
 	// verified the vulnerability are discarded, matching the sequential
-	// loop which never starts them (see parallel.go).
+	// loop which never starts them (see mergeAttempts).
 	TotalPaths int
 	TotalSteps int64
 	// CacheHits/CacheMisses/fast-path counters/SolverTime aggregate the
@@ -336,9 +331,9 @@ type Report struct {
 	// SkippedCandidates counts candidate paths elided by Incremental
 	// mode (no dirty function on the path).
 	SkippedCandidates int
-	// Dispatch scheduling telemetry (Dispatch mode only): attempts
-	// executed by remote workers ("stolen"), attempts executed by the
-	// local slots, attempts re-run locally after a worker failure, and
+	// Dispatch scheduling telemetry (Dispatch mode only; zero otherwise):
+	// attempts executed by remote workers ("stolen"), attempts executed by
+	// the local slots, attempts re-run locally after a worker failure, and
 	// workers lost to transport errors. Counts cover every attempt
 	// started, including ones a lower-ranked success later discarded.
 	// Wall-clock telemetry — never part of DetectionDigest.
@@ -368,100 +363,11 @@ func (r *Report) Detours() int {
 	return len(r.PathRes.Detours)
 }
 
-// Run executes the StatSym pipeline of Fig. 5 over a pre-collected corpus:
-//
-//	(a)–(d) statistical analysis: predicates construction and ranking;
-//	        candidate-path construction (skeleton + detours);
-//	(e)     statistics-guided symbolic execution per candidate path until
-//	        a vulnerable path is verified or candidates run out.
-func Run(prog *bytecode.Program, corpus *trace.Corpus, cfg Config) (*Report, error) {
-	return RunContext(context.Background(), prog, corpus, cfg)
-}
-
-// RunContext is Run under a context. Cancelling ctx stops the
-// symbolic-execution phase cooperatively: the in-flight candidate
-// attempt(s) wind down within one scheduling quantum, the partial report
-// (statistics, completed attempts, counters so far) is still returned, and
-// Report.Cancelled is set. With cfg.Parallel > 1 the ranked candidates are
-// verified by a bounded worker pool instead of the sequential loop; the
-// resulting report is deterministic and identical to the sequential one.
-func RunContext(ctx context.Context, prog *bytecode.Program, corpus *trace.Corpus, cfg Config) (*Report, error) {
-	cfg = cfg.withDefaults()
-	rep := &Report{Program: prog.Name}
-	rep.Runs, rep.Locations, rep.Variables = corpus.Counts()
-	rep.LogBytes = corpus.SizeBytes()
-
-	// The "pipeline" span is the trace root. When the caller already
-	// opened one (cmd/statsym and bench wrap corpus collection plus this
-	// call in a single root so the monitor phase nests under it), reuse
-	// it instead of opening a second root.
-	if obs.SpanFromContext(ctx) == nil {
-		var pspan *obs.Span
-		ctx, pspan = obs.StartSpan(ctx, "pipeline", obs.A("program", prog.Name))
-		defer func() {
-			pspan.End(obs.A("found", rep.Found()), obs.A("cancelled", rep.Cancelled),
-				obs.A("paths", rep.TotalPaths), obs.A("steps", rep.TotalSteps))
-		}()
-	}
-
-	// Statistical analysis module. With a CacheDir, the phase's output —
-	// a pure function of (corpus, path config) — is memoized on disk and
-	// replayed on warm runs whose corpus fingerprint matches; a hit skips
-	// both predicate derivation and candidate construction. Byte-exact
-	// replay, so detection is untouched (pinned by the cold-vs-warm
-	// differential tests); bypassed when the caller needs the transition
-	// graph, which the artifact does not carry.
-	statStart := time.Now()
-	var corpusFP uint64
-	if cfg.CacheDir != "" && !cfg.NeedGraph {
-		corpusFP = corpusFingerprint(corpus)
-		if analysis, pres, ok := loadStatsCache(cfg.CacheDir, corpusFP, prog.Name, cfg.Path); ok {
-			rep.Analysis, rep.PathRes, rep.StatsCached = analysis, pres, true
-			rep.StatTime = time.Since(statStart)
-			if o := obs.FromContext(ctx); o != nil {
-				o.Metrics.Counter(obs.MetricStatsCacheHits).Add(1)
-			}
-			obs.Progress(ctx, obs.A("phase", "stats"), obs.A("cached", true),
-				obs.A("predicates", len(rep.Analysis.Predicates)),
-				obs.A("candidates", len(rep.PathRes.Candidates)))
-		}
-	}
-	if !rep.StatsCached {
-		_, aspan := obs.StartSpan(ctx, "stats")
-		rep.Analysis = stats.Analyze(corpus)
-		aspan.End(obs.A("predicates", len(rep.Analysis.Predicates)))
-		obs.Progress(ctx, obs.A("phase", "stats"),
-			obs.A("predicates", len(rep.Analysis.Predicates)))
-		_, cspan := obs.StartSpan(ctx, "candidates")
-		pres, err := pathid.Build(corpus, rep.Analysis, cfg.Path)
-		rep.StatTime = time.Since(statStart)
-		if err != nil {
-			cspan.End(obs.A("error", err.Error()))
-			return rep, fmt.Errorf("core: candidate path construction: %w", err)
-		}
-		cspan.End(obs.A("candidates", len(pres.Candidates)), obs.A("detours", len(pres.Detours)))
-		obs.Progress(ctx, obs.A("phase", "candidates"),
-			obs.A("candidates", len(pres.Candidates)), obs.A("detours", len(pres.Detours)))
-		rep.PathRes = pres
-		if cfg.CacheDir != "" && !cfg.NeedGraph {
-			if o := obs.FromContext(ctx); o != nil {
-				o.Metrics.Counter(obs.MetricStatsCacheMisses).Add(1)
-			}
-			saveStatsCache(cfg.CacheDir, corpusFP, prog.Name, cfg.Path, rep.Analysis, pres)
-		}
-	}
-
-	if err := runSymPhase(ctx, prog, cfg, rep); err != nil {
-		return rep, err
-	}
-	return rep, nil
-}
-
 // runSymPhase is the statistics-guided symbolic execution module — the
-// back half of the pipeline, shared by the in-memory (RunContext) and
-// store-backed (RunStoreContext) front ends. It consumes rep.PathRes and
-// fills in the attempt outcomes, totals, and SymTime.
-func runSymPhase(ctx context.Context, prog *bytecode.Program, cfg Config, rep *Report) error {
+// back half of the pipeline. It consumes rep.PathRes, has verify schedule
+// the candidate attempts, and fills in the attempt outcomes, totals, and
+// SymTime.
+func runSymPhase(ctx context.Context, prog *bytecode.Program, cfg Config, rep *Report, verify verifyFunc) error {
 	symStart := time.Now()
 	symCtx := ctx
 	if cfg.TotalTimeout > 0 {
@@ -470,9 +376,9 @@ func runSymPhase(ctx context.Context, prog *bytecode.Program, cfg Config, rep *R
 		defer cancel()
 	}
 	cands := rep.PathRes.Candidates
-	// One shared solver cache per parallel pipeline run: concurrent
+	// One shared solver cache per multi-slot pipeline run: concurrent
 	// candidate verifications reuse each other's verdicts. Wall-clock
-	// only — counters and outcomes are unaffected. Sequential runs skip
+	// only — counters and outcomes are unaffected. One-slot runs skip
 	// it (anything a lone worker could hit is already in its local LRU,
 	// so the shared layer would pay a lock-and-copy per miss for
 	// nothing) — unless a persistent CacheDir is attached, which needs
@@ -511,14 +417,7 @@ func runSymPhase(ctx context.Context, prog *bytecode.Program, cfg Config, rep *R
 		rep.SymTime = time.Since(symStart)
 		return fmt.Errorf("core: call strategy: %w", err)
 	}
-	switch {
-	case cfg.Dispatch && len(cands) > 0:
-		verifyCandidatesDispatch(symCtx, prog, cands, cfg, rep)
-	case cfg.Parallel > 1 && len(cands) > 1:
-		verifyCandidatesParallel(symCtx, prog, cands, cfg, rep)
-	default:
-		verifyCandidatesSequential(symCtx, prog, cands, cfg, rep)
-	}
+	verify(symCtx, prog, cands, cfg, rep)
 	// Seal the persistent cache before reading its counters: Close drains
 	// the write-behind spill and advances the store manifest to this
 	// program's function set. A seal failure costs the next run its warm
@@ -567,8 +466,8 @@ func runSymPhase(ctx context.Context, prog *bytecode.Program, cfg Config, rep *R
 }
 
 // addOutcome appends one attempt to the report and folds its counters
-// into the totals — the single accumulation point shared by the
-// sequential loop and the parallel merge, so the two stay consistent.
+// into the totals — the single accumulation point of the rank-order
+// merge.
 func (r *Report) addOutcome(o CandidateOutcome) {
 	r.Candidates = append(r.Candidates, o)
 	r.TotalPaths += o.Paths
@@ -584,37 +483,13 @@ func (r *Report) addOutcome(o CandidateOutcome) {
 	r.DepthExhausted += o.DepthExhausted
 }
 
-// verifyCandidatesSequential is the paper's Fig. 5 loop: attempt candidates
-// in rank order, stop at the first verified vulnerable path.
-func verifyCandidatesSequential(ctx context.Context, prog *bytecode.Program, cands []*pathid.CandidatePath, cfg Config, rep *Report) {
-	for i, cand := range cands {
-		if ctx.Err() != nil {
-			break
-		}
-		outcome, vuln := VerifyCandidateCtx(ctx, prog, cand, i+1, cfg)
-		rep.addOutcome(outcome)
-		if vuln != nil {
-			rep.Vuln = vuln
-			rep.CandidateUsed = i + 1
-			break
-		}
-	}
-}
-
-// VerifyCandidate runs statistics-guided symbolic execution against one
-// candidate vulnerable path (step e.2 of Fig. 5) and reports the outcome
-// together with the vulnerability, if verified. The outcome's Index is 1;
-// callers holding a ranked list should use VerifyCandidateCtx with the
-// candidate's true rank.
-func VerifyCandidate(prog *bytecode.Program, cand *pathid.CandidatePath, cfg Config) (CandidateOutcome, *symexec.Vulnerability) {
-	return VerifyCandidateCtx(context.Background(), prog, cand, 1, cfg)
-}
-
-// VerifyCandidateCtx verifies one candidate path under a context. rank is
-// the candidate's 1-based position in the ranked list and is recorded as
-// the outcome's Index, so direct callers (tests, alternative ranking
-// strategies, the parallel engine) get correct indices without patching
-// the outcome afterwards.
+// VerifyCandidateCtx runs statistics-guided symbolic execution against one
+// candidate vulnerable path (step e.2 of Fig. 5) under a context and
+// reports the outcome together with the vulnerability, if verified. rank
+// is the candidate's 1-based position in the ranked list and is recorded
+// as the outcome's Index, so direct callers (tests, alternative ranking
+// strategies, the slot pool) get correct indices without patching the
+// outcome afterwards.
 func VerifyCandidateCtx(ctx context.Context, prog *bytecode.Program, cand *pathid.CandidatePath, rank int, cfg Config) (CandidateOutcome, *symexec.Vulnerability) {
 	cfg = cfg.withDefaults()
 	g := NewGuidance(cand)
@@ -624,7 +499,7 @@ func VerifyCandidateCtx(ctx context.Context, prog *bytecode.Program, cand *pathi
 	g.DisablePredicates = cfg.DisablePredicates
 	// Direct callers (tests, alternative rankers) reach here without the
 	// pipeline's runSymPhase having built the call strategy; build one for
-	// this attempt. An invalid Scope is surfaced by RunContext — here it
+	// this attempt. An invalid Scope is surfaced by RunJob — here it
 	// falls back to interpretation, which is always sound.
 	if cfg.calls == nil {
 		_ = cfg.initCalls(prog)
@@ -652,9 +527,9 @@ func VerifyCandidateCtx(ctx context.Context, prog *bytecode.Program, cand *pathi
 		opts.MaxStates = cfg.MaxStates
 	}
 	// The verify span rides into the executor through the context, so
-	// progress snapshots attach to this candidate's span. In parallel
-	// runs every worker derives its context from the pipeline root, so
-	// the concurrent verify spans all nest under it deterministically.
+	// progress snapshots attach to this candidate's span. Every slot
+	// derives its context from the pipeline root, so concurrent verify
+	// spans all nest under it deterministically.
 	ctx, vspan := obs.StartSpan(ctx, "verify", obs.A("rank", rank), obs.A("path_len", cand.Len()))
 	obs.Progress(ctx, obs.A("phase", "verify"), obs.A("rank", rank),
 		obs.A("path_len", cand.Len()))
@@ -739,14 +614,10 @@ func abandonReason(res *symexec.Result) string {
 	}
 }
 
-// RunPure executes the pure-symbolic-execution baseline (unmodified KLEE in
-// the paper's Table IV) with the same input spec and resource bounds.
-func RunPure(prog *bytecode.Program, spec *symexec.InputSpec, maxStates int, maxSteps int64, timeout time.Duration) *symexec.Result {
-	return RunPureContext(context.Background(), prog, spec, maxStates, maxSteps, timeout)
-}
-
-// RunPureContext is RunPure under a context (cancellation stops the
-// baseline the same way it stops guided attempts).
+// RunPureContext executes the pure-symbolic-execution baseline
+// (unmodified KLEE in the paper's Table IV) with the same input spec and
+// resource bounds. Cancellation stops the baseline the same way it stops
+// guided attempts.
 func RunPureContext(ctx context.Context, prog *bytecode.Program, spec *symexec.InputSpec, maxStates int, maxSteps int64, timeout time.Duration) *symexec.Result {
 	return RunPureWorkers(ctx, prog, spec, maxStates, maxSteps, timeout, 0)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -23,7 +24,7 @@ func runPipeline(t *testing.T, name string, cfg Config) *Report {
 	if cfg.Spec == nil {
 		cfg.Spec = app.Spec
 	}
-	rep, err := Run(app.Program(), corpus, cfg)
+	rep, err := runCorpus(context.Background(), app.Program(), corpus, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestPureBaselineTable4Shape(t *testing.T) {
 	// state budget on the other three (Table IV).
 	for _, name := range []string{"polymorph", "ctree", "thttpd", "grep"} {
 		app, _ := apps.Get(name)
-		res := RunPure(app.Program(), app.Spec, 10_000, 5_000_000, 30*time.Second)
+		res := RunPureContext(context.Background(), app.Program(), app.Spec, 10_000, 5_000_000, 30*time.Second)
 		if app.PureFails {
 			if res.Found() {
 				t.Errorf("%s: pure symbolic execution unexpectedly succeeded", name)
@@ -156,7 +157,7 @@ func TestPipelineLowSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(app.Program(), corpus, Config{Spec: app.Spec})
+	rep, err := runCorpus(context.Background(), app.Program(), corpus, Config{Spec: app.Spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestPipelineSeedsStability(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := Run(app.Program(), corpus, Config{Spec: app.Spec})
+		rep, err := runCorpus(context.Background(), app.Program(), corpus, Config{Spec: app.Spec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +203,7 @@ func TestGuidedBeatsPureOnPaths(t *testing.T) {
 		t.Fatal("guided search failed")
 	}
 	app, _ := apps.Get("polymorph")
-	pure := RunPure(app.Program(), app.Spec, 20_000, 20_000_000, time.Minute)
+	pure := RunPureContext(context.Background(), app.Program(), app.Spec, 20_000, 20_000_000, time.Minute)
 	if !pure.Found() {
 		t.Fatal("pure baseline failed on polymorph")
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/apps"
@@ -10,7 +11,7 @@ import (
 
 // TestStorePipelineDifferential pins the store-backed pipeline against the
 // in-memory one end to end: collect the same corpus both ways (in memory
-// and spilled to a segmented store), run RunContext and RunStoreContext,
+// and spilled to a segmented store), run RunJob over each source,
 // and require identical reports — statistics, candidate outcomes, and the
 // verified vulnerable path — modulo wall-clock fields. Two apps cover the
 // found (polymorph) and first-candidate-infeasible (thttpd) shapes; the
@@ -42,11 +43,11 @@ func TestStorePipelineDifferential(t *testing.T) {
 			}
 
 			cfg := Config{Spec: app.Spec}
-			ref, err := Run(app.Program(), corpus, cfg)
+			ref, err := runCorpus(context.Background(), app.Program(), corpus, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := RunStore(app.Program(), store, cfg)
+			rep, err := RunJob(context.Background(), JobInputs{Prog: app.Program(), Spec: cfg.Spec, Store: store}, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

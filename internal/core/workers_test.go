@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/apps"
@@ -26,7 +27,7 @@ func TestParallelFrontierDifferential(t *testing.T) {
 			var ref *Report
 			for _, workers := range []int{1, 4} {
 				cfg := Config{Spec: app.Spec, Workers: workers}
-				rep, err := Run(app.Program(), corpus, cfg)
+				rep, err := runCorpus(context.Background(), app.Program(), corpus, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -96,7 +97,7 @@ func TestParallelFrontierComposesWithCandidates(t *testing.T) {
 		{Spec: app.Spec, Workers: 2, Parallel: 2},
 		{Spec: app.Spec, Workers: 4, Parallel: 2},
 	} {
-		rep, err := Run(app.Program(), corpus, cfg)
+		rep, err := runCorpus(context.Background(), app.Program(), corpus, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,11 +44,11 @@ func (s *Store) Compact(opts Options) (*CompactResult, error) {
 		if err == io.EOF {
 			break
 		}
-		if err != nil {
-			w.abort(nil)
-			return nil, err
+		if err == nil {
+			err = w.Append(run)
 		}
-		if err := w.Append(run); err != nil {
+		if err != nil {
+			w.Abort()
 			return nil, err
 		}
 	}

@@ -412,6 +412,57 @@ func TestCompact(t *testing.T) {
 	}
 }
 
+// TestCompactFailureKeepsStore: a compaction that fails part way — here
+// on a corrupted block in the last segment, after the rewrite has already
+// sealed new segments — must leave the store exactly as it was, with no
+// rewritten segment registered next to the originals.
+func TestCompactFailureKeepsStore(t *testing.T) {
+	c := buildSyntheticCorpus(t, 60)
+	s := ingest(t, c, smallOpts)
+	before := s.Segments()
+	if len(before) < 2 {
+		t.Fatalf("want several segments, got %d", len(before))
+	}
+	last := before[len(before)-1].Name
+	path := filepath.Join(s.Dir(), last)
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, err := openSegment(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob[seg.footer.Blocks[0].Offset+8] ^= 0xFF
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(s.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Tiny output segments: the rewrite seals several before it reaches
+	// the corrupted block.
+	if _, err := s.Compact(Options{BlockBytes: 256, SegmentBytes: 1}); err == nil {
+		t.Fatal("compaction over a corrupted block must fail")
+	}
+	if got := s.Segments(); !reflect.DeepEqual(got, before) {
+		t.Errorf("failed compaction changed the manifest:\n got  %v\n want %v", got, before)
+	}
+	reopened, err := Open(s.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reopened.Segments(); !reflect.DeepEqual(got, before) {
+		t.Errorf("failed compaction changed the manifest on disk:\n got  %v\n want %v", got, before)
+	}
+	files, _ := filepath.Glob(filepath.Join(s.Dir(), "*.seg"))
+	if len(files) != len(before) {
+		t.Errorf("%d .seg files on disk after a failed compaction, want %d", len(files), len(before))
+	}
+}
+
 func TestCreateReopenAndMismatch(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Create(dir, "polymorph")

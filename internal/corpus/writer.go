@@ -267,6 +267,7 @@ type Writer struct {
 
 	sealedRuns  int // runs across segments sealed by this writer
 	sealedBytes int64
+	sealed      []string // names of the segments this writer sealed
 }
 
 // NewWriter returns a Writer appending to the store.
@@ -389,6 +390,7 @@ func (w *Writer) seal() error {
 	info := SegmentInfo{Name: w.finalName, Runs: w.runs, Records: w.records, Bytes: size}
 	w.sealedRuns += w.runs
 	w.sealedBytes += size
+	w.sealed = append(w.sealed, w.finalName)
 	if w.s.Obs != nil {
 		w.s.Obs.Metrics.Counter(obs.MetricCorpusSegmentsSealed).Inc()
 		w.s.Obs.Metrics.Counter(obs.MetricCorpusBytesWritten).Add(size)
@@ -408,6 +410,31 @@ func (w *Writer) abort(err error) error {
 // Close seals the in-progress segment, if any. The writer may be reused
 // afterwards (the next Append starts a fresh segment).
 func (w *Writer) Close() error { return w.seal() }
+
+// Abort discards every run this writer appended: the in-progress segment
+// is deleted unsealed, and the segments it already sealed (rolled over at
+// SegmentBytes, or by an earlier Close) are dropped from the manifest and
+// removed from disk. A caller whose batch of runs must be all-or-nothing —
+// a collection that fails part way — aborts instead of closing, so no
+// partial batch ever becomes visible to readers.
+func (w *Writer) Abort() error {
+	w.abort(nil)
+	if len(w.sealed) == 0 {
+		return nil
+	}
+	names := make(map[string]bool, len(w.sealed))
+	for _, name := range w.sealed {
+		names[name] = true
+	}
+	w.sealed, w.sealedRuns, w.sealedBytes = nil, 0, 0
+	if err := w.s.dropSegments(names); err != nil {
+		return err
+	}
+	for name := range names {
+		os.Remove(filepath.Join(w.s.dir, name))
+	}
+	return nil
+}
 
 // SealedRuns returns the number of runs this writer has made durable.
 func (w *Writer) SealedRuns() int { return w.sealedRuns }

@@ -7,7 +7,6 @@
 package monitor
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 
@@ -87,19 +86,4 @@ func observe(name string, class trace.VarClass, v interp.Value) trace.Observatio
 		ob.Int = v.Int
 	}
 	return ob
-}
-
-// CollectCorpus runs every input and assembles the labeled corpus the
-// statistical module consumes.
-func CollectCorpus(prog *bytecode.Program, inputs []*interp.Input, cfg Config) (*trace.Corpus, error) {
-	return CollectCorpusCtx(context.Background(), prog, inputs, cfg)
-}
-
-// BalancedCorpus collects logs until it has wantCorrect correct and
-// wantFaulty faulty runs (the paper samples one hundred of each, §VII-A),
-// drawing inputs from gen. It returns an error when the generator cannot
-// produce the requested mix within 100× the requested run count.
-func BalancedCorpus(prog *bytecode.Program, gen func(i int) *interp.Input,
-	wantCorrect, wantFaulty int, cfg Config) (*trace.Corpus, error) {
-	return BalancedCorpusCtx(context.Background(), prog, gen, wantCorrect, wantFaulty, cfg)
 }

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/bytecode"
@@ -163,7 +164,7 @@ func TestBalancedCorpus(t *testing.T) {
 		}
 		return &interp.Input{Ints: map[string]int64{"n": n}}
 	}
-	corpus, err := BalancedCorpus(prog, gen, 10, 10, Config{SampleRate: 1.0})
+	corpus, err := BalancedCorpusCtx(context.Background(), prog, gen, 10, 10, Config{SampleRate: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestBalancedCorpusImpossible(t *testing.T) {
 	gen := func(i int) *interp.Input {
 		return &interp.Input{Ints: map[string]int64{"n": 1}} // never faults
 	}
-	if _, err := BalancedCorpus(prog, gen, 1, 1, Config{SampleRate: 1.0}); err == nil {
+	if _, err := BalancedCorpusCtx(context.Background(), prog, gen, 1, 1, Config{SampleRate: 1.0}); err == nil {
 		t.Error("expected error when faulty runs are impossible")
 	}
 }
@@ -192,7 +193,7 @@ func TestCorpusRoundTrip(t *testing.T) {
 		}
 		return &interp.Input{Ints: map[string]int64{"n": n}}
 	}
-	corpus, err := BalancedCorpus(prog, gen, 5, 5, Config{SampleRate: 1.0})
+	corpus, err := BalancedCorpusCtx(context.Background(), prog, gen, 5, 5, Config{SampleRate: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,8 +19,7 @@ import (
 type Options struct {
 	Binary string // binary name for diagnostics ("statsym", ...)
 
-	Listen string // -listen: introspection server address ("" disables)
-	Pprof  string // -pprof: deprecated alias for -listen (pprof now rides the same mux)
+	Listen string // -listen: introspection server address ("" disables); pprof rides the same mux
 
 	Trace    string        // -trace: JSONL event trace path ("" disables)
 	Interval time.Duration // -trace-interval: progress-snapshot cadence
@@ -54,16 +53,10 @@ type Runtime struct {
 	faulted atomic.Bool
 }
 
-// Init wires the runtime from flag values. The deprecated -pprof address
-// is honored as -listen when -listen is unset (pprof handlers are on the
-// live mux). Errors come only from the trace file or the listener.
+// Init wires the runtime from flag values. Errors come only from the
+// trace file or the listener.
 func Init(o Options) (*Runtime, error) {
 	rt := &Runtime{opts: o}
-	if o.Listen == "" && o.Pprof != "" {
-		fmt.Fprintf(os.Stderr, "%s: -pprof is deprecated, use -listen (pprof is served on the same mux)\n", o.Binary)
-		rt.opts.Listen = o.Pprof
-	}
-	o = rt.opts
 
 	var sinks obs.MultiSink
 	var closeTrace func() error

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -19,7 +20,7 @@ func pipelineReport(t *testing.T) *core.Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := core.Run(app.Program(), corpus, core.Config{Spec: app.Spec})
+	rep, err := core.RunJob(context.Background(), core.JobInputs{Prog: app.Program(), Spec: app.Spec, Corpus: corpus}, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

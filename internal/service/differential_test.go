@@ -35,7 +35,7 @@ func referenceDigest(t *testing.T, appName string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := core.RunContext(context.Background(), app.Program(), corpus, core.Config{Spec: app.Spec})
+	rep, err := core.RunJob(context.Background(), core.JobInputs{Prog: app.Program(), Spec: app.Spec, Corpus: corpus}, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

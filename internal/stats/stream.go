@@ -94,7 +94,8 @@ func (v *valueCounts) distinct() (vals []int64, mult []int) {
 	return vals, mult
 }
 
-// streamSample is the streaming counterpart of sampleSet.
+// streamSample accumulates one (location, variable) pair's samples, one
+// value sketch per class of run.
 type streamSample struct {
 	loc      trace.Location
 	name     string
@@ -104,10 +105,11 @@ type streamSample struct {
 	faulty   valueCounts
 }
 
-// StreamAnalyzer consumes runs one at a time and produces the same
-// Analysis as the in-memory Analyze — byte-identical predicates in the
-// identical ranking — while holding only per-(location, variable) value
-// sketches, never the runs themselves.
+// StreamAnalyzer consumes runs one at a time and builds the ranked
+// predicates while holding only per-(location, variable) value sketches,
+// never the runs themselves. It is the package's one predicate builder:
+// Analyze (in-memory corpus) and AnalyzeStream (any run iterator) both
+// drive it.
 type StreamAnalyzer struct {
 	opts      StreamOpts
 	samples   map[string]*streamSample
@@ -181,8 +183,9 @@ func (a *StreamAnalyzer) Finish() *Analysis {
 
 // AnalyzeStream runs predicate construction over a run iterator in one
 // bounded-memory pass: peak memory is the iterator's block buffer plus the
-// value sketches, independent of corpus size. Output is byte-identical to
-// Analyze on the materialized corpus (pinned by the differential tests).
+// value sketches, independent of corpus size. Output depends only on the
+// run sequence, never on where the runs live (the internal/corpus
+// differentials pin a store against the in-memory corpus it holds).
 func AnalyzeStream(ctx context.Context, it trace.RunIterator, opts StreamOpts) (*Analysis, error) {
 	a := NewStreamAnalyzer(opts)
 	for {
@@ -201,12 +204,15 @@ func AnalyzeStream(ctx context.Context, it trace.RunIterator, opts StreamOpts) (
 	return a.Finish(), nil
 }
 
-// buildPredicateDist is buildPredicate on the distinct-value
-// representation. Every arithmetic step mirrors the slice version exactly
-// — thresholds from adjacent distinct values, counts via the same
-// float64-compare search, the same strict-improvement scan in the same
-// ascending order — so the resulting predicate is bit-equal, not merely
-// equivalent.
+// buildPredicateDist constructs the optimal threshold predicate for one
+// sample set by minimizing the quantification error
+// E = |P ∩ C| + |Pᶜ ∩ F| (Eq. 1) over all candidate thresholds and both
+// directions, then scores it with Eq. 2. It works on the distinct-value
+// representation, and every arithmetic step mirrors the slice-based
+// reference builder in the tests exactly — thresholds from adjacent
+// distinct values, counts via the same float64-compare search, the same
+// strict-improvement scan in the same ascending order — so the resulting
+// predicate is bit-equal to the reference's, not merely equivalent.
 func buildPredicateDist(ss *streamSample) *Predicate {
 	nc, nf := ss.correct.total(), ss.faulty.total()
 	if nc == 0 && nf == 0 {
@@ -221,6 +227,9 @@ func buildPredicateDist(ss *streamSample) *Predicate {
 		CountF:   nf,
 	}
 	if nf == 0 {
+		// The location is only reached by correct executions — the
+		// predicate is unsatisfiable in faulty runs ("< -infinity",
+		// Table V P7–P10). P(x|C)=0 and P(x|F) is vacuously 1.
 		base.Op = PredNever
 		base.Score = 1.0
 		base.Err = 0
@@ -228,6 +237,8 @@ func buildPredicateDist(ss *streamSample) *Predicate {
 	}
 	fVals, fMult := ss.faulty.distinct()
 	if nc == 0 {
+		// Only faulty runs reach here; any always-true predicate
+		// separates perfectly. Use value ≥ min(F) − ½ to stay informative.
 		base.Op = PredGe
 		base.Threshold = float64(fVals[0]) - 0.5
 		base.Score = 1.0
@@ -243,6 +254,9 @@ func buildPredicateDist(ss *streamSample) *Predicate {
 	// The distinct values of the merged multiset are the sorted union.
 	union := mergeDistinct(cVals, fVals)
 	if len(union) == 1 {
+		// All values identical: no separating threshold exists; the best
+		// predicate is uninformative (score 0, covered by a degenerate
+		// ≥ threshold just below the common value).
 		base.Op = PredGe
 		base.Threshold = float64(union[0]) - 0.5
 		base.Score = 0

@@ -54,7 +54,7 @@ func (ex *Executor) EncodeCheckpoint() ([]byte, error) {
 // the provable-equivalence envelope.
 func (ex *Executor) checkpointable() error {
 	switch {
-	case ex.parallel || ex.Opts.Workers > 0:
+	case ex.Opts.Workers > 0:
 		return fmt.Errorf("symexec: checkpoint requires the sequential engine (Workers=0)")
 	case ex.Opts.Hook != nil:
 		return fmt.Errorf("symexec: checkpoint cannot capture a guidance hook")

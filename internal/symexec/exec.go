@@ -3,7 +3,6 @@ package symexec
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bytecode"
@@ -92,11 +91,6 @@ type Options struct {
 	// EpochWidth is the number of states drafted per epoch (0:
 	// DefaultEpochWidth). It, not Workers, determines the schedule.
 	EpochWidth int
-	// FreeRun, with Workers > 1, drops the epoch barrier: workers pull
-	// states continuously and merge under a lock. Fastest wall-clock, but
-	// exploration order — and therefore counters and which vulnerability is
-	// found first — becomes timing-dependent. Off by default.
-	FreeRun bool
 }
 
 // Default limits.
@@ -225,20 +219,16 @@ type Executor struct {
 
 	// Parallel frontier engine plumbing (see frontier.go). lane, when set,
 	// supplies this executor view's fresh variable IDs (each worker slot has
-	// its own lane so concurrent allocation is deterministic); parallel
-	// marks the visit counters as shared across workers (atomic updates);
-	// extraWall accumulates the worker slots' solver wall time.
+	// its own lane so concurrent allocation is deterministic); extraWall
+	// accumulates the worker slots' solver wall time.
 	lane      *solver.Lane
-	parallel  bool
 	extraWall time.Duration
 
 	// Epoch-engine slots buffer visit counts locally (visitDelta, with
 	// visitDirty listing the touched instructions) and flush them into the
 	// main executor's arrays at the merge barrier, where the scheduler —
-	// the only reader — runs. This replaces a contended atomic add per
-	// instruction with a plain local increment; free-run slots leave these
-	// nil and keep the atomic path, since there the scheduler reads counts
-	// while workers are mid-quantum.
+	// the only reader — runs. No worker touches the shared arrays while a
+	// quantum runs, so counts need no atomics.
 	visitDelta [][]int64
 	visitDirty []visitRef
 
@@ -288,15 +278,14 @@ func New(prog *bytecode.Program, spec *InputSpec, opts Options) *Executor {
 		cov.SetVisitFunc(ex.visitCount)
 	}
 	if opts.Workers > 0 {
-		ex.parallel = true
 		// Deterministic variable identity under concurrency: pre-register
 		// every literal-named input channel and reserve byte blocks for
 		// symbolic strings, so IDs never depend on which worker gets there
 		// first.
 		ex.inputs.blocks = true
 		ex.inputs.prescan(prog)
-		// Visit counters become shared across workers; allocate them all up
-		// front so recordVisit never races a lazy allocation.
+		// Slots flush their visit deltas straight into these arrays at the
+		// merge barrier; allocate them all up front.
 		for i, fn := range prog.Funcs {
 			ex.visits[i] = make([]int64, len(fn.Code))
 		}
@@ -330,11 +319,6 @@ func (ex *Executor) visitCount(fnIndex, pc int) int64 {
 	if v == nil || pc >= len(v) {
 		return 0
 	}
-	if ex.parallel {
-		// Free-running workers may be mid-quantum while the scheduler
-		// consults visit counts.
-		return atomic.LoadInt64(&v[pc])
-	}
 	return v[pc]
 }
 
@@ -356,13 +340,6 @@ func (ex *Executor) recordVisit(fnIndex, pc int) {
 				ex.visitDirty = append(ex.visitDirty, visitRef{fn: int32(fnIndex), pc: int32(pc)})
 			}
 			d[pc]++
-			return
-		}
-		if ex.parallel {
-			// Free-running worker slots share the main executor's arrays;
-			// counts are order-independent sums, so atomic increments keep
-			// them coherent. (Parallel mode pre-allocates every array.)
-			atomic.AddInt64(&ex.visits[fnIndex][pc], 1)
 			return
 		}
 		ex.visits[fnIndex][pc]++
@@ -422,12 +399,9 @@ func (ex *Executor) RunContext(ctx context.Context) *Result {
 		}
 		ex.addState(st)
 	}
-	switch {
-	case ex.Opts.Workers > 1 && ex.Opts.FreeRun:
-		ex.runFree()
-	case ex.Opts.Workers > 0:
+	if ex.Opts.Workers > 0 {
 		ex.runEpochs()
-	default:
+	} else {
 		ex.runSequential()
 	}
 	ex.res.SuspendedAtEnd = len(ex.suspended)

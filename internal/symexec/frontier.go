@@ -83,16 +83,15 @@ func (sx *Executor) runQuantumCollect(st *State) (out quantumOut) {
 // and variable lane.
 func (ex *Executor) newSlot(lane *solver.Lane, shared *solver.SharedCache) *Executor {
 	sx := &Executor{
-		Prog:     ex.Prog,
-		Table:    ex.Table,
-		Solver:   solver.NewCached(solver.New()),
-		Opts:     ex.Opts,
-		inputs:   ex.inputs,
-		res:      &Result{},
-		ctx:      ex.ctx,
-		visits:   ex.visits,
-		lane:     lane,
-		parallel: true,
+		Prog:   ex.Prog,
+		Table:  ex.Table,
+		Solver: solver.NewCached(solver.New()),
+		Opts:   ex.Opts,
+		inputs: ex.inputs,
+		res:    &Result{},
+		ctx:    ex.ctx,
+		visits: ex.visits,
+		lane:   lane,
 	}
 	sx.Solver.Shared = shared
 	sx.Solver.FastPaths = ex.Opts.SolverFastPaths
@@ -112,7 +111,7 @@ func (sx *Executor) resetDeltas() {
 }
 
 // mergeOut folds one quantum's outcome into the main executor. The caller
-// owns the executor (the epoch merge phase, or the free-run lock). A
+// owns the executor (the epoch merge phase). A
 // quantum merged after the run has stopped is discarded wholesale — its
 // deltas never surface, which is deterministic because the stop point is.
 func (ex *Executor) mergeOut(sx *Executor, st *State, out quantumOut) {
@@ -397,91 +396,5 @@ func (f *frontier) finish() {
 	if elapsed := time.Since(f.start); elapsed > 0 && f.workers > 0 {
 		util := 100 * int64(busy) / (int64(elapsed) * int64(f.workers))
 		m.Gauge(obs.MetricWorkerUtilPct).SetMax(util)
-	}
-}
-
-// runFree is the free-running engine (Options.FreeRun with Workers > 1):
-// workers pull states from the scheduler continuously and merge outcomes
-// under a lock. No epoch barrier, so idle time is minimal — but the
-// exploration order, and with it every counter and which vulnerability is
-// found first, depends on timing. Only the set of reachable behaviors is
-// preserved, not the sequential engine's determinism.
-func (ex *Executor) runFree() {
-	w := ex.Opts.Workers
-	group := ex.installLanes(w)
-	shared := ex.Opts.SharedCache
-	if shared == nil {
-		shared = solver.NewSharedCache(0)
-	}
-	ex.Solver.Shared = shared
-	slots := make([]*Executor, w)
-	for i := range slots {
-		slots[i] = ex.newSlot(group.Lane(i), shared)
-	}
-
-	var mu sync.Mutex
-	cond := sync.NewCond(&mu)
-	inflight := 0
-	// halted reports (and records, once) any stop condition. Caller holds mu.
-	halted := func() bool {
-		if ex.stopped {
-			return true
-		}
-		if ex.res.Steps >= ex.Opts.MaxSteps {
-			ex.res.StepLimited = true
-			return true
-		}
-		if err := ex.ctx.Err(); err != nil {
-			if !ex.res.TimedOut && !ex.res.Cancelled {
-				ex.noteInterrupt(err)
-			}
-			return true
-		}
-		return false
-	}
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for wk := 0; wk < w; wk++ {
-		go func(sx *Executor) {
-			defer wg.Done()
-			mu.Lock()
-			for {
-				if halted() {
-					break
-				}
-				cur := ex.sched.Next()
-				if cur == nil {
-					if inflight > 0 {
-						// A running quantum may fork children; wait for its
-						// merge before concluding the frontier is empty.
-						cond.Wait()
-						continue
-					}
-					if len(ex.suspended) > 0 {
-						ex.reviveSuspended()
-						continue
-					}
-					break
-				}
-				inflight++
-				mu.Unlock()
-				out := sx.runQuantumCollect(cur)
-				mu.Lock()
-				inflight--
-				ex.mergeOut(sx, cur, out)
-				cond.Broadcast()
-			}
-			mu.Unlock()
-			cond.Broadcast()
-		}(slots[wk])
-	}
-	wg.Wait()
-	for i, sx := range slots {
-		if ex.obsv != nil {
-			if wall := sx.Solver.WallTime(); wall > 0 {
-				ex.obsv.Metrics.Counter(obs.SlotSolverWallMetric(i)).Add(int64(wall))
-			}
-		}
-		ex.foldSlotSolver(sx)
 	}
 }

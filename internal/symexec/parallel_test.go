@@ -121,33 +121,6 @@ func TestParallelEpochWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestParallelEpochMatchesFreeRunVulns: the free-running mode gives up
-// deterministic counters but must still find the same fault sites as the
-// epoch engine when asked to exhaust the frontier.
-func TestParallelEpochMatchesFreeRunVulns(t *testing.T) {
-	for _, tc := range parallelTestPrograms {
-		t.Run(tc.name, func(t *testing.T) {
-			prog := bytecode.MustCompile(tc.name, tc.src)
-			sites := func(free bool) map[string]bool {
-				opts := DefaultOptions()
-				opts.Workers = 4
-				opts.FreeRun = free
-				opts.StopAtFirstVuln = false
-				res := New(prog, tc.spec, opts).Run()
-				m := make(map[string]bool)
-				for _, v := range res.Vulns {
-					m[v.Site()] = true
-				}
-				return m
-			}
-			epoch, freeRun := sites(false), sites(true)
-			if !reflect.DeepEqual(epoch, freeRun) {
-				t.Errorf("fault sites diverged: epoch %v, free-run %v", epoch, freeRun)
-			}
-		})
-	}
-}
-
 // TestParallelConcurrentForkStress hammers copy-on-write forks from many
 // goroutines whose states share ancestor structure (buried frames, heap
 // blocks) — the publication pattern the epoch engine relies on. Each state

@@ -41,16 +41,7 @@ func BuildCorpus(app *apps.App, opts Options) (*trace.Corpus, error) {
 // monitor's collection span and run/record counters attach to whatever
 // observability handle rides in ctx.
 func BuildCorpusCtx(ctx context.Context, app *apps.App, opts Options) (*trace.Corpus, error) {
-	nc, nf := opts.Correct, opts.Faulty
-	if nc == 0 {
-		nc = DefaultRuns
-	}
-	if nf == 0 {
-		nf = DefaultRuns
-	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	gen := func(i int) *interp.Input { return app.NewInput(rng) }
-	cfg := monitor.Config{SampleRate: opts.SampleRate, Seed: opts.Seed}
+	gen, nc, nf, cfg := opts.collection(app)
 	corpus, err := monitor.BalancedCorpusCtx(ctx, app.Program(), gen, nc, nf, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("workload: %s: %w", app.Name, err)
@@ -62,37 +53,21 @@ func BuildCorpusCtx(ctx context.Context, app *apps.App, opts Options) (*trace.Co
 // on-disk corpus store: the balanced collection loop appends each accepted
 // run to the store and never holds the corpus in memory. With an empty
 // store and the same options, the stored runs are identical (content,
-// order, IDs) to what BuildCorpusCtx returns.
+// order, IDs) to what BuildCorpusCtx returns. A failed or cancelled
+// collection leaves the store as it was.
 func BuildCorpusStoreCtx(ctx context.Context, app *apps.App, opts Options, store *corpus.Store, wopts corpus.Options) error {
-	nc, nf := opts.Correct, opts.Faulty
-	if nc == 0 {
-		nc = DefaultRuns
-	}
-	if nf == 0 {
-		nf = DefaultRuns
-	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	gen := func(i int) *interp.Input { return app.NewInput(rng) }
-	cfg := monitor.Config{SampleRate: opts.SampleRate, Seed: opts.Seed}
+	gen, nc, nf, cfg := opts.collection(app)
 	if err := monitor.BalancedCorpusStoreCtx(ctx, app.Program(), gen, nc, nf, cfg, store, wopts); err != nil {
 		return fmt.Errorf("workload: %s: %w", app.Name, err)
 	}
 	return nil
 }
 
-// BuildCorpusParallel is BuildCorpus with parallel run collection: inputs
-// are generated sequentially (the generator's RNG stream stays
-// deterministic), executed under the monitor by a worker pool, and the
-// first quota of each class (in generation order) is kept — so the result
-// is deterministic for a given seed regardless of worker count.
-func BuildCorpusParallel(app *apps.App, opts Options, workers int) (*trace.Corpus, error) {
-	return BuildCorpusParallelCtx(context.Background(), app, opts, workers)
-}
-
-// BuildCorpusParallelCtx is BuildCorpusParallel with cancellation and
-// tracing. Each collection batch opens its own monitor span.
-func BuildCorpusParallelCtx(ctx context.Context, app *apps.App, opts Options, workers int) (*trace.Corpus, error) {
-	nc, nf := opts.Correct, opts.Faulty
+// collection resolves the options into the balanced collection's inputs:
+// the app's input generator seeded from opts.Seed, the correct/faulty
+// quotas (default DefaultRuns each), and the monitor config.
+func (opts Options) collection(app *apps.App) (gen func(i int) *interp.Input, nc, nf int, cfg monitor.Config) {
+	nc, nf = opts.Correct, opts.Faulty
 	if nc == 0 {
 		nc = DefaultRuns
 	}
@@ -100,47 +75,8 @@ func BuildCorpusParallelCtx(ctx context.Context, app *apps.App, opts Options, wo
 		nf = DefaultRuns
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
-	cfg := monitor.Config{SampleRate: opts.SampleRate, Seed: opts.Seed}
-	out := &trace.Corpus{Program: app.Name}
-	haveC, haveF := 0, 0
-	limit := (nc + nf) * 100
-	generated := 0
-	for generated < limit && (haveC < nc || haveF < nf) {
-		batch := (nc + nf) * 2
-		if generated+batch > limit {
-			batch = limit - generated
-		}
-		inputs := make([]*interp.Input, batch)
-		for i := range inputs {
-			inputs[i] = app.NewInput(rng)
-		}
-		generated += batch
-		part, err := monitor.CollectCorpusParallelCtx(ctx, app.Program(), inputs, cfg, workers)
-		if err != nil {
-			return nil, fmt.Errorf("workload: %s: %w", app.Name, err)
-		}
-		for i := range part.Runs {
-			run := part.Runs[i]
-			if run.Faulty {
-				if haveF >= nf {
-					continue
-				}
-				haveF++
-			} else {
-				if haveC >= nc {
-					continue
-				}
-				haveC++
-			}
-			run.ID = len(out.Runs)
-			out.Runs = append(out.Runs, run)
-		}
-	}
-	if haveC < nc || haveF < nf {
-		return nil, fmt.Errorf("workload: %s: generator yielded %d correct / %d faulty runs, want %d/%d",
-			app.Name, haveC, haveF, nc, nf)
-	}
-	return out, nil
+	gen = func(i int) *interp.Input { return app.NewInput(rng) }
+	return gen, nc, nf, monitor.Config{SampleRate: opts.SampleRate, Seed: opts.Seed}
 }
 
 // FaultRate estimates the generator's raw fault probability over n runs
