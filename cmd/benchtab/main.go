@@ -19,7 +19,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/obs/flight"
+	"repro/internal/core"
 	"repro/internal/obs/live"
 )
 
@@ -68,6 +68,9 @@ func runAblation(ctx context.Context, name string, seed int64, budgets bench.Bud
 }
 
 func run() error {
+	budgets := bench.DefaultBudgets()
+	core.BindFlags(flag.CommandLine, &budgets.Guided)
+	lopts := live.BindFlags(flag.CommandLine, "benchtab", false)
 	var (
 		table     = flag.Int("table", 0, "regenerate one table (1-5); 0 = all")
 		figure    = flag.Int("figure", 0, "regenerate one figure (7-10); 0 = all")
@@ -75,32 +78,15 @@ func run() error {
 		corpusDir = flag.String("corpus-dir", "", "directory for the corpus ablation's on-disk artifacts (default: temp, discarded)")
 		cacheDir  = flag.String("cache-dir", "", "persistent solver-cache root for guided pipeline runs and the solvercache ablation (default: temp, discarded)")
 		seed      = flag.Int64("seed", bench.DefaultSeed, "workload seed")
-		parallel  = flag.Int("parallel", 1, "candidate-verification local slots per pipeline run (1: sequential)")
-		workers   = flag.Int("workers", 0, "in-candidate frontier workers per symbolic execution (0: sequential engine)")
-		sharedCch = flag.Bool("shared-cache", true, "share solver verdicts across candidate verifications (wall-clock only; counters are unaffected)")
-		scope     = flag.String("scope", "", "interpretation scope policy for guided runs (e.g. \"all\" or \"all,-logmsg\"); empty = everything in scope")
-		summaries = flag.Bool("summaries", false, "replace summarizable in-scope calls by memoized path summaries in every guided pipeline run")
 		only      = flag.Bool("only", false, "run only the selected table/figure")
 		asJSON    = flag.Bool("json", false, "emit machine-readable JSON instead of text tables")
 		baseline  = flag.String("baseline", "", "regression gate: re-run the ablations recorded in this ledger (or legacy BENCH_pr*.json), compare row by row, exit nonzero on regression")
 		ledgerOut = flag.String("ledger-out", "", "write the ablation rows produced by this run as a ledger (future -baseline input)")
 		tolSteps  = flag.Float64("tol-steps", bench.DefaultTolerances().StepsPct, "allowed fractional step-count increase over the baseline (0.10 = +10%)")
 		tolTime   = flag.Float64("tol-time", 0, "flag sym time above baseline×ratio (0: wall clock not gated — it jitters across machines)")
-		traceOut  = flag.String("trace", "", "stream a JSONL event trace of every pipeline run to this file")
-		traceInt  = flag.Duration("trace-interval", time.Second, "progress-snapshot period for -trace")
-		metrics   = flag.Bool("metrics", false, "print the accumulated metrics registry at exit")
-		listen    = flag.String("listen", "", "serve live introspection (/metrics, /progress, /spans, pprof) on this address (e.g. localhost:6060)")
-		flightOut = flag.String("flight", "", "dump the flight-recorder ring (JSONL) to this file on fault, panic, or interrupt")
-		flightN   = flag.Int("flight-depth", flight.DefaultDepth, "flight-recorder events retained per category")
 	)
 	flag.Parse()
-	budgets := bench.DefaultBudgets()
-	budgets.Parallel = *parallel
-	budgets.Workers = *workers
-	budgets.DisableSharedCache = !*sharedCch
-	budgets.Scope = *scope
-	budgets.Summaries = *summaries
-	budgets.CacheDir = *cacheDir
+	budgets.Guided.CacheDir = *cacheDir
 
 	// SIGINT/SIGTERM cancel the in-flight experiment cooperatively; the
 	// partial rows computed so far are discarded, but the process exits
@@ -108,12 +94,7 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	rt, err := live.Init(live.Options{
-		Binary: "benchtab",
-		Listen: *listen,
-		Trace:  *traceOut, Interval: *traceInt, Metrics: *metrics,
-		Flight: *flightOut, FlightDepth: *flightN,
-	})
+	rt, err := live.Init(*lopts)
 	if err != nil {
 		return err
 	}
@@ -125,7 +106,7 @@ func run() error {
 	defer rt.DumpOnPanic()
 	if o := rt.Obs(); o != nil {
 		ctx = rt.Context(ctx)
-		if *metrics {
+		if lopts.Metrics {
 			defer func() { fmt.Print(o.Metrics.Format()) }()
 		}
 	}

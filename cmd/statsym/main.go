@@ -13,16 +13,15 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/apps"
 	"repro/internal/core"
 	corpusstore "repro/internal/corpus"
+	"repro/internal/dispatch"
 	"repro/internal/interp"
 	"repro/internal/obs"
-	"repro/internal/obs/flight"
 	"repro/internal/obs/live"
 	"repro/internal/report"
 	"repro/internal/symexec"
@@ -38,6 +37,9 @@ func main() {
 }
 
 func run() error {
+	var cfg core.Config
+	core.BindFlags(flag.CommandLine, &cfg)
+	lopts := live.BindFlags(flag.CommandLine, "statsym", false)
 	var (
 		appName   = flag.String("app", "polymorph", "application: polymorph, ctree, thttpd, grep (paper) or msgtool, billing (extensions)")
 		corpusIn  = flag.String("corpus", "", "analyze a pre-collected corpus file (from cmd/monitor) instead of collecting logs")
@@ -50,28 +52,17 @@ func run() error {
 		maxStates = flag.Int("max-states", 0, "live-state budget (0: default)")
 		maxSteps  = flag.Int64("max-steps", 0, "instruction budget (0: default)")
 		timeout   = flag.Duration("timeout", 0, "wall-clock bound for symbolic execution (0: none)")
-		parallel  = flag.Int("parallel", 1, "verify candidate paths with this many concurrent local slots (1: the paper's sequential loop)")
-		workers   = flag.Int("workers", 0, "in-candidate frontier workers (0: sequential engine; >=1: deterministic epoch engine, results independent of the count)")
-		sharedCch = flag.Bool("shared-cache", true, "share solver verdicts across candidate verifications (wall-clock only; counters are unaffected)")
 		cacheDir  = flag.String("cache-dir", "", "persist solver-cache verdicts across runs in this directory: prior verdicts warm-start this run (verified on load), fresh ones spill back; wall-clock only, detections are unaffected")
 		increment = flag.Bool("incremental", false, "with -cache-dir: diff the cache manifest's function hashes against the program and re-run only candidate paths crossing changed functions")
 		dispatchF = flag.Bool("dispatch", false, "add one verification slot per -worker-addrs worker next to the local slots (each ships whole attempts to its worker); detections and the digest are identical to the sequential loop for any topology")
 		workerStr = flag.String("worker-addrs", "", "comma-separated dispatch worker addresses (unix:/path or tcp:host:port), each one a `symexec -serve-worker` process; empty with -dispatch runs local-only")
 		dispLog   = flag.String("dispatch-log", "", "append a JSONL audit trail of dispatch scheduling decisions (steal, redispatch, merge) to this file")
 		unitDl    = flag.Duration("unit-deadline", 0, "per-unit round-trip deadline before a worker is declared hung and its unit re-run locally (0: 10m default)")
-		scope     = flag.String("scope", "", "interpretation scope policy: \"\" or \"all\" interprets everything; \"all,-f,-g\" havocs f and g; \"f,g\" interprets exactly that list plus main")
-		summaries = flag.Bool("summaries", false, "replace summarizable in-scope calls by memoized path summaries shared across candidate attempts (detection-equivalent under a full-coverage scope)")
 		verbose   = flag.Bool("v", false, "print predicates and candidate paths")
 		minimize  = flag.Bool("minimize", false, "shrink the witness input via concrete replays")
 		dotOut    = flag.String("dot", "", "write the transition graph (Graphviz DOT) to this file")
 		witOut    = flag.String("witness-out", "", "write the witness input (JSON) to this file for replay")
 		htmlOut   = flag.String("html", "", "write a self-contained HTML report to this file")
-		traceOut  = flag.String("trace", "", "stream a JSONL event trace (spans, progress, warnings) to this file")
-		traceInt  = flag.Duration("trace-interval", time.Second, "progress-snapshot period for -trace")
-		metrics   = flag.Bool("metrics", false, "print the metrics registry at exit (and embed it in -html)")
-		listen    = flag.String("listen", "", "serve live introspection (/metrics, /progress, /spans, pprof) on this address (e.g. localhost:6060)")
-		flightOut = flag.String("flight", "", "dump the flight-recorder ring (JSONL) to this file on fault, panic, or interrupt")
-		flightN   = flag.Int("flight-depth", flight.DefaultDepth, "flight-recorder events retained per category")
 	)
 	flag.Parse()
 
@@ -81,12 +72,7 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	rt, err := live.Init(live.Options{
-		Binary: "statsym",
-		Listen: *listen,
-		Trace:  *traceOut, Interval: *traceInt, Metrics: *metrics,
-		Flight: *flightOut, FlightDepth: *flightN,
-	})
+	rt, err := live.Init(*lopts)
 	if err != nil {
 		return err
 	}
@@ -99,7 +85,7 @@ func run() error {
 	o := rt.Obs()
 	ctx = rt.Context(ctx)
 	dumpMetrics := func() {
-		if o != nil && *metrics {
+		if o != nil && lopts.Metrics {
 			fmt.Print(o.Metrics.Format())
 		}
 	}
@@ -126,7 +112,7 @@ func run() error {
 		fmt.Println("-- pure symbolic execution (baseline)")
 		start := time.Now()
 		pctx, pspan := obs.StartSpan(ctx, "pure", obs.A("app", app.Name))
-		res := core.RunPureWorkers(pctx, app.Program(), app.Spec, *maxStates, *maxSteps, *timeout, *workers)
+		res := core.RunPureWorkers(pctx, app.Program(), app.Spec, *maxStates, *maxSteps, *timeout, cfg.Workers)
 		pspan.End(obs.A("paths", res.Paths), obs.A("steps", res.Steps), obs.A("found", res.Found()))
 		if res.Found() {
 			rt.NoteFault()
@@ -140,30 +126,20 @@ func run() error {
 	ctx, root := obs.StartSpan(ctx, "pipeline", obs.A("app", app.Name), obs.A("rate", *rate))
 	defer root.End()
 
-	cfg := core.Config{
-		Tau:                 *tau,
-		Spec:                app.Spec,
-		PerCandidateTimeout: *timeout,
-		PerCandidateMaxSteps: func() int64 {
-			if *maxSteps > 0 {
-				return *maxSteps
-			}
-			return 0
-		}(),
-		MaxStates:          *maxStates,
-		Parallel:           *parallel,
-		Workers:            *workers,
-		DisableSharedCache: !*sharedCch,
-		CacheDir:           *cacheDir,
-		Incremental:        *increment,
-		NeedGraph:          *dotOut != "",
-		Scope:              *scope,
-		Summaries:          *summaries,
-		Dispatch:           *dispatchF,
-		WorkerAddrs:        splitAddrs(*workerStr),
-		DispatchLog:        *dispLog,
-		UnitDeadline:       *unitDl,
+	cfg.Tau = *tau
+	cfg.Spec = app.Spec
+	cfg.PerCandidateTimeout = *timeout
+	if *maxSteps > 0 {
+		cfg.PerCandidateMaxSteps = *maxSteps
 	}
+	cfg.MaxStates = *maxStates
+	cfg.CacheDir = *cacheDir
+	cfg.Incremental = *increment
+	cfg.NeedGraph = *dotOut != ""
+	cfg.Dispatch = *dispatchF
+	cfg.WorkerAddrs = dispatch.ParseAddrs(*workerStr)
+	cfg.DispatchLog = *dispLog
+	cfg.UnitDeadline = *unitDl
 	if len(cfg.WorkerAddrs) > 0 && !cfg.Dispatch {
 		return fmt.Errorf("-worker-addrs requires -dispatch")
 	}
@@ -413,17 +389,6 @@ func printReport(rep *core.Report, app *apps.App, o *obs.Obs,
 		}
 	}
 	return nil
-}
-
-// splitAddrs parses a comma-separated -worker-addrs value.
-func splitAddrs(s string) []string {
-	var addrs []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			addrs = append(addrs, a)
-		}
-	}
-	return addrs
 }
 
 func summarize(s string) string {

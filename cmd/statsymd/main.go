@@ -26,11 +26,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"repro/internal/obs/flight"
+	"repro/internal/dispatch"
 	"repro/internal/obs/live"
 	"repro/internal/service"
 )
@@ -51,6 +50,7 @@ func main() {
 
 func serve(args []string) error {
 	fs := flag.NewFlagSet("statsymd", flag.ExitOnError)
+	lopts := live.BindFlags(fs, "statsymd", true)
 	var (
 		listen    = fs.String("listen", "127.0.0.1:7077", "HTTP address for the /v1 API and introspection endpoints")
 		dataDir   = fs.String("data", "statsymd-data", "data directory (job ledger + named corpora)")
@@ -62,10 +62,6 @@ func serve(args []string) error {
 		dispLog   = fs.String("dispatch-log", "", "append a JSONL audit trail of dispatch scheduling decisions to this file")
 		cacheDir  = fs.String("cache-dir", "", "persistent solver-cache directory shared by all jobs (wall-clock only)")
 		shards    = fs.Int("shards", 0, "shard fan-out for newly created named corpora (0: default)")
-		traceOut  = fs.String("trace", "", "stream a JSONL event trace (all jobs interleaved) to this file")
-		traceInt  = fs.Duration("trace-interval", time.Second, "progress-snapshot period")
-		flightOut = fs.String("flight", "", "dump the flight-recorder ring (JSONL) to this file on panic or drain")
-		flightN   = fs.Int("flight-depth", flight.DefaultDepth, "flight-recorder events retained per category")
 	)
 	fs.Parse(args)
 	if *listen == "" {
@@ -77,7 +73,7 @@ func serve(args []string) error {
 		QueueSlots:   *slots,
 		Runners:      *runners,
 		DrainTimeout: *drainTmo,
-		WorkerAddrs:  splitAddrs(*workerStr),
+		WorkerAddrs:  dispatch.ParseAddrs(*workerStr),
 		UnitDeadline: *unitDl,
 		DispatchLog:  *dispLog,
 		CacheDir:     *cacheDir,
@@ -87,14 +83,12 @@ func serve(args []string) error {
 		return err
 	}
 
-	rt, err := live.Init(live.Options{
-		Binary: "statsymd",
-		Listen: *listen,
-		Trace:  *traceOut, Interval: *traceInt, Metrics: true,
-		Flight: *flightOut, FlightDepth: *flightN,
-		ForceHub: true,
-		Mounts:   map[string]http.Handler{"/v1/": svc.Handler()},
-	})
+	// The API listener doubles as the introspection server, and the
+	// daemon always keeps metrics.
+	lopts.Listen, lopts.Metrics = *listen, true
+	lopts.ForceHub = true
+	lopts.Mounts = map[string]http.Handler{"/v1/": svc.Handler()}
+	rt, err := live.Init(*lopts)
 	if err != nil {
 		return err
 	}
@@ -158,15 +152,4 @@ func loadtest(args []string) error {
 		fmt.Print(service.FormatLoadReport(rep))
 	}
 	return err
-}
-
-// splitAddrs parses a comma-separated -dispatch value.
-func splitAddrs(s string) []string {
-	var addrs []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			addrs = append(addrs, a)
-		}
-	}
-	return addrs
 }

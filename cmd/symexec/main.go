@@ -10,7 +10,6 @@ import (
 	"os"
 	"os/signal"
 	"sort"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -21,7 +20,6 @@ import (
 	"repro/internal/dispatch"
 	"repro/internal/interp"
 	"repro/internal/obs"
-	"repro/internal/obs/flight"
 	"repro/internal/obs/live"
 	"repro/internal/solver"
 	"repro/internal/solver/persist"
@@ -38,6 +36,7 @@ func main() {
 }
 
 func run() error {
+	lopts := live.BindFlags(flag.CommandLine, "symexec", false)
 	var (
 		appName   = flag.String("app", "", "app: polymorph, ctree, thttpd, grep, msgtool, billing")
 		file      = flag.String("file", "", "MiniC source file to analyze instead of -app")
@@ -54,16 +53,10 @@ func run() error {
 		cacheDir  = flag.String("cache-dir", "", "persist solver-cache verdicts across runs in this directory (verified on load; wall-clock only)")
 		scope     = flag.String("scope", "", "interpretation scope policy: \"\" or \"all\" interprets everything; \"all,-f,-g\" havocs f and g; \"f,g\" interprets exactly that list plus main")
 		summaries = flag.Bool("summaries", false, "replace summarizable in-scope calls by memoized path summaries")
-		workers   = flag.Int("workers", 0, "frontier workers (0: sequential engine; >=1: deterministic epoch engine, results independent of the count)")
-		traceOut  = flag.String("trace", "", "stream a JSONL event trace (spans, progress) to this file")
-		traceInt  = flag.Duration("trace-interval", time.Second, "progress-snapshot period for -trace")
-		metrics   = flag.Bool("metrics", false, "print the metrics registry at exit")
-		listen    = flag.String("listen", "", "serve live introspection (/metrics, /progress, /spans, pprof) on this address (e.g. localhost:6060)")
-		flightOut = flag.String("flight", "", "dump the flight-recorder ring (JSONL) to this file on fault, panic, or interrupt")
-		flightN   = flag.Int("flight-depth", flight.DefaultDepth, "flight-recorder events retained per category")
+		workers   = flag.Int("workers", 0, "frontier workers (0: one state per quantum, the paper's loop; >=1: epochs of several states stepped on that many goroutines, results independent of the count)")
 
 		serveWorker = flag.String("serve-worker", "", "run as a dispatch worker on this address (unix:/path or host:port), executing attempt and frontier-shard units until interrupted")
-		ckptOut     = flag.String("checkpoint-out", "", "write the end-of-run frontier to this .ssnap file (sequential engine only)")
+		ckptOut     = flag.String("checkpoint-out", "", "write the end-of-run frontier to this .ssnap file (-workers 0 only)")
 		resumePath  = flag.String("resume", "", "resume exploration from a .ssnap checkpoint instead of -app/-file")
 		dispatchRun = flag.Bool("dispatch", false, "after a bounded local warmup, shard the remaining frontier across -worker-addrs (shards that fail to ship re-run locally)")
 		workerAddrs = flag.String("worker-addrs", "", "comma-separated dispatch worker addresses for -dispatch")
@@ -72,12 +65,7 @@ func run() error {
 	flag.Parse()
 
 	if *serveWorker != "" {
-		return runServeWorker(*serveWorker, *cacheDir, live.Options{
-			Binary: "symexec",
-			Listen: *listen,
-			Trace:  *traceOut, Interval: *traceInt, Metrics: *metrics,
-			Flight: *flightOut, FlightDepth: *flightN,
-		})
+		return runServeWorker(*serveWorker, *cacheDir, *lopts)
 	}
 
 	var prog *bytecode.Program
@@ -134,23 +122,11 @@ func run() error {
 	opts.StopAtFirstVuln = !*all
 	opts.Timeout = *timeout
 	opts.SolverFastPaths = *fastPaths
-	callMode := symexec.CallInterpret
-	switch {
-	case *summaries:
-		callMode = symexec.CallSummarize
-	case *scope != "" && *scope != "all":
-		callMode = symexec.CallHavoc
+	calls, err := core.Config{Scope: *scope, Summaries: *summaries}.CallStrategy(prog)
+	if err != nil {
+		return err
 	}
-	if callMode != symexec.CallInterpret {
-		pol, err := summary.ParsePolicy(*scope)
-		if err != nil {
-			return err
-		}
-		opts.Calls, err = symexec.NewCallStrategy(prog, callMode, pol, nil)
-		if err != nil {
-			return err
-		}
-	}
+	opts.Calls = calls
 	opts.Workers = *workers
 	if *maxStates > 0 {
 		opts.MaxStates = *maxStates
@@ -176,12 +152,7 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	rt, err := live.Init(live.Options{
-		Binary: "symexec",
-		Listen: *listen,
-		Trace:  *traceOut, Interval: *traceInt, Metrics: *metrics,
-		Flight: *flightOut, FlightDepth: *flightN,
-	})
+	rt, err := live.Init(*lopts)
 	if err != nil {
 		return err
 	}
@@ -197,7 +168,7 @@ func run() error {
 		ctx, span = obs.StartSpan(ctx, "symexec",
 			obs.A("program", prog.Name), obs.A("sched", opts.Sched.Name()))
 		defer span.End()
-		if *metrics {
+		if lopts.Metrics {
 			defer func() { fmt.Print(o.Metrics.Format()) }()
 		}
 	}
@@ -228,7 +199,7 @@ func run() error {
 		}
 		res = ex.RunContext(ctx)
 	case *dispatchRun:
-		addrs := splitAddrs(*workerAddrs)
+		addrs := dispatch.ParseAddrs(*workerAddrs)
 		ex, res, err = runDispatchPure(ctx, prog, spec, opts, addrs, *warmupSteps)
 		if err != nil {
 			return err
@@ -365,17 +336,6 @@ func runServeWorker(addr, cacheDir string, lopts live.Options) error {
 	return err
 }
 
-// splitAddrs parses a comma-separated -worker-addrs value.
-func splitAddrs(s string) []string {
-	var addrs []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			addrs = append(addrs, a)
-		}
-	}
-	return addrs
-}
-
 // runDispatchPure distributes a pure-mode exploration: a bounded local
 // warmup builds a frontier, EncodeFrontierShards splits it 1+len(addrs)
 // ways, one shard runs locally while the rest ship to the workers as
@@ -387,7 +347,7 @@ func splitAddrs(s string) []string {
 // explore independently, so the run behaves like -all.
 func runDispatchPure(ctx context.Context, prog *bytecode.Program, spec *symexec.InputSpec, opts symexec.Options, addrs []string, warmup int64) (*symexec.Executor, *symexec.Result, error) {
 	if opts.Workers > 0 || opts.Calls != nil {
-		return nil, nil, fmt.Errorf("-dispatch requires the sequential pure engine (no -workers, -scope, -summaries)")
+		return nil, nil, fmt.Errorf("-dispatch requires the default pure engine (no -workers, -scope, -summaries)")
 	}
 	full := opts
 	if full.MaxSteps == 0 {

@@ -48,6 +48,21 @@ type AblationRow struct {
 	Digest         string `json:",omitempty"`
 }
 
+// guidedRow is the ablation row of one guided pipeline report, timed by
+// its symbolic-execution phase.
+func guidedRow(program, config string, rep *core.Report) AblationRow {
+	return AblationRow{Program: program, Config: config, Found: rep.Found(),
+		Paths: rep.TotalPaths, Steps: rep.TotalSteps, Elapsed: rep.SymTime, Failed: !rep.Found()}
+}
+
+// pureRow is the ablation row of one pure symbolic-execution run; a miss
+// is a failure only when a budget stopped the run.
+func pureRow(program, config string, res *symexec.Result) AblationRow {
+	return AblationRow{Program: program, Config: config, Found: res.Found(),
+		Paths: res.Paths, Steps: res.Steps, Elapsed: res.Elapsed,
+		Failed: !res.Found() && (res.Exhausted || res.StepLimited || res.TimedOut)}
+}
+
 // FormatAblation renders any ablation row set.
 func FormatAblation(title string, rows []AblationRow) string {
 	var sb strings.Builder
@@ -120,29 +135,13 @@ func AblationScheduler(ctx context.Context, seed int64, budgets Budgets) ([]Abla
 			}
 			sched := mk()
 			res := pureWithScheduler(ctx, app, sched, budgets)
-			rows = append(rows, AblationRow{
-				Program: app.Name,
-				Config:  "pure/" + sched.Name(),
-				Found:   res.Found(),
-				Paths:   res.Paths,
-				Steps:   res.Steps,
-				Elapsed: res.Elapsed,
-				Failed:  !res.Found() && (res.Exhausted || res.StepLimited || res.TimedOut),
-			})
+			rows = append(rows, pureRow(app.Name, "pure/"+sched.Name(), res))
 		}
 		rep, err := RunPipeline(ctx, app, 0.3, seed, budgets)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, AblationRow{
-			Program: app.Name,
-			Config:  "statsym",
-			Found:   rep.Found(),
-			Paths:   rep.TotalPaths,
-			Steps:   rep.TotalSteps,
-			Elapsed: rep.SymTime,
-			Failed:  !rep.Found(),
-		})
+		rows = append(rows, guidedRow(app.Name, "statsym", rep))
 	}
 	return rows, nil
 }
@@ -170,28 +169,15 @@ func AblationGuidance(ctx context.Context, seed int64, budgets Budgets) ([]Ablat
 			if err := ctx.Err(); err != nil {
 				return rows, err
 			}
-			cfg := core.Config{
-				Spec:                 app.Spec,
-				PerCandidateTimeout:  budgets.GuidedTimeout,
-				PerCandidateMaxSteps: budgets.GuidedMaxSteps,
-				Parallel:             budgets.Parallel,
-				DisableSharedCache:   budgets.DisableSharedCache,
-				DisableInter:         c.disInter,
-				DisablePredicates:    c.disPreds,
-			}
+			cfg := budgets.Guided
+			cfg.Spec = app.Spec
+			cfg.Workers, cfg.Scope, cfg.Summaries, cfg.CacheDir = 0, "", false, ""
+			cfg.DisableInter, cfg.DisablePredicates = c.disInter, c.disPreds
 			rep, err := core.RunJob(ctx, core.JobInputs{Prog: app.Program(), Spec: app.Spec, Corpus: corpus}, cfg)
 			if err != nil {
 				return nil, err
 			}
-			rows = append(rows, AblationRow{
-				Program: app.Name,
-				Config:  c.name,
-				Found:   rep.Found(),
-				Paths:   rep.TotalPaths,
-				Steps:   rep.TotalSteps,
-				Elapsed: rep.SymTime,
-				Failed:  !rep.Found(),
-			})
+			rows = append(rows, guidedRow(app.Name, c.name, rep))
 		}
 	}
 	return rows, nil
@@ -216,15 +202,10 @@ func AblationTau(ctx context.Context, appName string, taus []int, seed int64, bu
 		if err := ctx.Err(); err != nil {
 			return rows, err
 		}
-		cfg := core.Config{
-			Spec:                 app.Spec,
-			Tau:                  tau,
-			MinPredScore:         core.DefaultMinPredScore,
-			PerCandidateTimeout:  budgets.GuidedTimeout,
-			PerCandidateMaxSteps: budgets.GuidedMaxSteps,
-			Parallel:             budgets.Parallel,
-			DisableSharedCache:   budgets.DisableSharedCache,
-		}
+		cfg := budgets.Guided
+		cfg.Spec = app.Spec
+		cfg.Workers, cfg.Scope, cfg.Summaries, cfg.CacheDir = 0, "", false, ""
+		cfg.Tau, cfg.MinPredScore = tau, core.DefaultMinPredScore
 		if tau == 0 {
 			cfg.Tau = -1 // τ=0: any off-path hop suspends (Config treats 0 as default)
 		}
@@ -232,15 +213,7 @@ func AblationTau(ctx context.Context, appName string, taus []int, seed int64, bu
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, AblationRow{
-			Program: app.Name,
-			Config:  fmt.Sprintf("tau=%d", tau),
-			Found:   rep.Found(),
-			Paths:   rep.TotalPaths,
-			Steps:   rep.TotalSteps,
-			Elapsed: rep.SymTime,
-			Failed:  !rep.Found(),
-		})
+		rows = append(rows, guidedRow(app.Name, fmt.Sprintf("tau=%d", tau), rep))
 	}
 	return rows, nil
 }
@@ -248,8 +221,8 @@ func AblationTau(ctx context.Context, appName string, taus []int, seed int64, bu
 // AblationFrontier sweeps the in-candidate frontier worker count on the
 // three widest-frontier apps, in two regimes: the guided pipeline
 // ("guided/workers=N", symbolic-execution wall time) and the pure BFS
-// baseline ("pure-bfs/workers=N", whole-run wall time). workers=0 is the
-// sequential engine; workers>=1 is the epoch engine, whose counters are
+// baseline ("pure-bfs/workers=N", whole-run wall time). workers=0 steps
+// one state per epoch; workers>=1 drafts wider epochs, whose counters are
 // identical across worker counts within each regime — the determinism
 // guarantee — so any row-to-row delta among them is pure wall-clock
 // scaling (epoch rows can differ from workers=0 only at budget
@@ -272,26 +245,15 @@ func AblationFrontier(ctx context.Context, workerCounts []int, seed int64, budge
 			if err := ctx.Err(); err != nil {
 				return rows, err
 			}
-			cfg := core.Config{
-				Spec:                 app.Spec,
-				PerCandidateTimeout:  budgets.GuidedTimeout,
-				PerCandidateMaxSteps: budgets.GuidedMaxSteps,
-				Workers:              w,
-				DisableSharedCache:   budgets.DisableSharedCache,
-			}
+			cfg := budgets.Guided
+			cfg.Spec = app.Spec
+			cfg.Parallel, cfg.Scope, cfg.Summaries, cfg.CacheDir = 0, "", false, ""
+			cfg.Workers = w
 			rep, err := core.RunJob(ctx, core.JobInputs{Prog: app.Program(), Spec: app.Spec, Corpus: corpus}, cfg)
 			if err != nil {
 				return nil, err
 			}
-			rows = append(rows, AblationRow{
-				Program: app.Name,
-				Config:  fmt.Sprintf("guided/workers=%d", w),
-				Found:   rep.Found(),
-				Paths:   rep.TotalPaths,
-				Steps:   rep.TotalSteps,
-				Elapsed: rep.SymTime,
-				Failed:  !rep.Found(),
-			})
+			rows = append(rows, guidedRow(app.Name, fmt.Sprintf("guided/workers=%d", w), rep))
 		}
 		for _, w := range workerCounts {
 			if err := ctx.Err(); err != nil {
@@ -299,16 +261,9 @@ func AblationFrontier(ctx context.Context, workerCounts []int, seed int64, budge
 			}
 			res := core.RunPureWorkers(ctx, app.Program(), app.Spec,
 				budgets.PureMaxStates, budgets.PureMaxSteps, budgets.PureTimeout, w)
-			rows = append(rows, AblationRow{
-				Program:    app.Name,
-				Config:     fmt.Sprintf("pure-bfs/workers=%d", w),
-				Found:      res.Found(),
-				Paths:      res.Paths,
-				Steps:      res.Steps,
-				Elapsed:    res.Elapsed,
-				SolverWall: res.SolverTime,
-				Failed:     !res.Found() && (res.Exhausted || res.StepLimited || res.TimedOut),
-			})
+			row := pureRow(app.Name, fmt.Sprintf("pure-bfs/workers=%d", w), res)
+			row.SolverWall = res.SolverTime
+			rows = append(rows, row)
 		}
 	}
 	return rows, nil
@@ -368,7 +323,7 @@ func AblationSolverCache(ctx context.Context, budgets Budgets) ([]AblationRow, e
 const solverCacheReps = 3
 
 func AblationSolverCachePersist(ctx context.Context, seed int64, budgets Budgets) ([]AblationRow, error) {
-	baseDir := budgets.CacheDir
+	baseDir := budgets.Guided.CacheDir
 	if baseDir == "" {
 		dir, err := os.MkdirTemp("", "statsym-solvercache-*")
 		if err != nil {
@@ -391,14 +346,10 @@ func AblationSolverCachePersist(ctx context.Context, seed int64, budgets Budgets
 			if err := ctx.Err(); err != nil {
 				return AblationRow{}, err
 			}
-			cfg := core.Config{
-				Spec:                 app.Spec,
-				PerCandidateTimeout:  budgets.GuidedTimeout,
-				PerCandidateMaxSteps: budgets.GuidedMaxSteps,
-				Parallel:             budgets.Parallel,
-				Workers:              budgets.Workers,
-				CacheDir:             cacheDir,
-			}
+			cfg := budgets.Guided
+			cfg.Spec = app.Spec
+			cfg.DisableSharedCache, cfg.Scope, cfg.Summaries = false, "", false
+			cfg.CacheDir = cacheDir
 			start := time.Now()
 			rep, err := core.RunJob(ctx, core.JobInputs{Prog: app.Program(), Spec: app.Spec, Corpus: corpus}, cfg)
 			if err != nil {
@@ -489,15 +440,10 @@ func AblationSummaries(ctx context.Context, seed int64, budgets Budgets) ([]Abla
 			if err := ctx.Err(); err != nil {
 				return rows, err
 			}
-			cfg := core.Config{
-				Spec:                 app.Spec,
-				PerCandidateTimeout:  budgets.GuidedTimeout,
-				PerCandidateMaxSteps: budgets.GuidedMaxSteps,
-				Parallel:             budgets.Parallel,
-				DisableSharedCache:   budgets.DisableSharedCache,
-				Scope:                budgets.Scope,
-				Summaries:            summarize,
-			}
+			cfg := budgets.Guided
+			cfg.Spec = app.Spec
+			cfg.Workers, cfg.CacheDir = 0, ""
+			cfg.Summaries = summarize
 			rep, err := core.RunJob(ctx, core.JobInputs{Prog: app.Program(), Spec: app.Spec, Corpus: corpus}, cfg)
 			if err != nil {
 				return nil, err
@@ -506,18 +452,9 @@ func AblationSummaries(ctx context.Context, seed int64, budgets Budgets) ([]Abla
 			if summarize {
 				name = "calls=summarize"
 			}
-			rows = append(rows, AblationRow{
-				Program:      app.Name,
-				Config:       name,
-				Found:        rep.Found(),
-				Paths:        rep.TotalPaths,
-				Steps:        rep.TotalSteps,
-				Elapsed:      rep.SymTime,
-				Failed:       !rep.Found(),
-				SummaryCalls: rep.SummaryCalls,
-				SummaryHits:  rep.SummaryHits,
-				SummaryMined: rep.SummaryMined,
-			})
+			row := guidedRow(app.Name, name, rep)
+			row.SummaryCalls, row.SummaryHits, row.SummaryMined = rep.SummaryCalls, rep.SummaryHits, rep.SummaryMined
+			rows = append(rows, row)
 		}
 	}
 	return rows, nil
@@ -573,12 +510,9 @@ func AblationDispatch(ctx context.Context, workerCounts []int, seed int64, budge
 		if err != nil {
 			return nil, err
 		}
-		base := core.Config{
-			Spec:                 app.Spec,
-			PerCandidateTimeout:  budgets.GuidedTimeout,
-			PerCandidateMaxSteps: budgets.GuidedMaxSteps,
-			DisableSharedCache:   budgets.DisableSharedCache,
-		}
+		base := budgets.Guided
+		base.Spec = app.Spec
+		base.Parallel, base.Workers, base.Scope, base.Summaries, base.CacheDir = 0, 0, "", false, ""
 		configs := []struct {
 			label string
 			n     int // -1: dispatch off (sequential loop)
@@ -620,16 +554,9 @@ func AblationDispatch(ctx context.Context, workerCounts []int, seed int64, budge
 				return nil, fmt.Errorf("dispatch ablation: %s %s digest %s diverged from sequential %s",
 					name, c.label, digest, refDigest)
 			}
-			rows = append(rows, AblationRow{
-				Program: app.Name,
-				Config:  c.label,
-				Found:   best.Found(),
-				Paths:   best.TotalPaths,
-				Steps:   best.TotalSteps,
-				Elapsed: best.SymTime,
-				Failed:  !best.Found(),
-				Digest:  digest,
-			})
+			row := guidedRow(app.Name, c.label, best)
+			row.Digest = digest
+			rows = append(rows, row)
 		}
 	}
 	return rows, nil

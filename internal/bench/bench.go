@@ -34,55 +34,29 @@ type Budgets struct {
 	PureMaxSteps  int64
 	PureTimeout   time.Duration
 
-	GuidedMaxSteps int64
-	GuidedTimeout  time.Duration
-
-	// Parallel is the number of local candidate-verification slots handed
-	// to core.Config.Parallel by every experiment that runs the guided
-	// pipeline. 0 and 1 mean one slot, the sequential loop; the reported
-	// counters are identical for any value (the slot pool's determinism
-	// guarantee), only wall-clock time changes.
-	Parallel int
-
-	// DisableSharedCache switches off the cross-candidate solver cache in
-	// every guided pipeline run (A/B comparisons; counters are identical
-	// either way, only solver wall time changes).
-	DisableSharedCache bool
-
-	// Workers is the in-candidate frontier worker count handed to
-	// core.Config.Workers by every experiment that runs the guided
-	// pipeline. 0 keeps the sequential engine; any value >= 1 selects the
-	// epoch engine, whose counters are worker-count-invariant — as with
-	// Parallel, only wall-clock time changes.
-	Workers int
-
-	// Scope is the interpretation scope policy handed to core.Config.Scope
-	// by every experiment that runs the guided pipeline ("" interprets
-	// everything; see summary.ParsePolicy for the syntax).
-	Scope string
-
-	// CacheDir, when set, hands every guided pipeline run a persistent
-	// cross-run solver-cache directory (core.Config.CacheDir). The
-	// solvercache ablation uses it as its store root (one subdirectory
-	// per app); empty means a throwaway temp directory.
-	CacheDir string
-
-	// Summaries switches the executor's call strategy to summarize mode in
-	// every guided pipeline run: summarizable leaf calls are replaced by
-	// memoized path summaries shared across candidate attempts. With a
-	// full-coverage Scope the detections are byte-identical to full
-	// interpretation (core.DetectionDigest); only effort changes.
-	Summaries bool
+	// Guided is the core.Config every experiment that runs the guided
+	// pipeline starts from, setting Spec itself. It carries the
+	// per-candidate step and time budgets plus the flags benchtab binds
+	// with core.BindFlags (Parallel, Workers, DisableSharedCache, Scope,
+	// Summaries) and its -cache-dir. Parallel, DisableSharedCache and
+	// Summaries (under a full-coverage Scope) change wall-clock time or
+	// effort, never detections; the counters of Workers >= 1 runs do not
+	// depend on the count. CacheDir is a root with one store subdirectory
+	// per app, not a store. An experiment that predates a field keeps
+	// ignoring it and resets it to the zero value.
+	Guided core.Config
 }
 
 // DefaultBudgets returns the standard experiment budgets.
 func DefaultBudgets() Budgets {
 	return Budgets{
-		PureMaxStates:  20_000,
-		PureMaxSteps:   20_000_000,
-		PureTimeout:    60 * time.Second,
-		GuidedMaxSteps: 20_000_000,
-		GuidedTimeout:  30 * time.Second,
+		PureMaxStates: 20_000,
+		PureMaxSteps:  20_000_000,
+		PureTimeout:   60 * time.Second,
+		Guided: core.Config{
+			PerCandidateMaxSteps: 20_000_000,
+			PerCandidateTimeout:  30 * time.Second,
+		},
 	}
 }
 
@@ -149,20 +123,12 @@ func RunPipeline(ctx context.Context, app *apps.App, rate float64, seed int64, b
 		return nil, err
 	}
 	monTime := time.Since(monStart)
-	cfg := core.Config{
-		Spec:                 app.Spec,
-		PerCandidateTimeout:  budgets.GuidedTimeout,
-		PerCandidateMaxSteps: budgets.GuidedMaxSteps,
-		Parallel:             budgets.Parallel,
-		Workers:              budgets.Workers,
-		DisableSharedCache:   budgets.DisableSharedCache,
-		Scope:                budgets.Scope,
-		Summaries:            budgets.Summaries,
-	}
+	cfg := budgets.Guided
+	cfg.Spec = app.Spec
 	// A persistent store is single-program (its manifest pins the program
 	// name), so a shared cache root gets one subdirectory per app.
-	if budgets.CacheDir != "" {
-		cfg.CacheDir = filepath.Join(budgets.CacheDir, app.Name)
+	if cfg.CacheDir != "" {
+		cfg.CacheDir = filepath.Join(cfg.CacheDir, app.Name)
 	}
 	rep, err := core.RunJob(ctx, core.JobInputs{Prog: app.Program(), Spec: app.Spec, Corpus: corpus}, cfg)
 	if rep != nil {

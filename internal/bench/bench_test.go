@@ -5,16 +5,20 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // smallBudgets keeps unit tests fast while preserving outcome shapes.
 func smallBudgets() Budgets {
 	return Budgets{
-		PureMaxStates:  5_000,
-		PureMaxSteps:   2_000_000,
-		PureTimeout:    20 * time.Second,
-		GuidedMaxSteps: 10_000_000,
-		GuidedTimeout:  20 * time.Second,
+		PureMaxStates: 5_000,
+		PureMaxSteps:  2_000_000,
+		PureTimeout:   20 * time.Second,
+		Guided: core.Config{
+			PerCandidateMaxSteps: 10_000_000,
+			PerCandidateTimeout:  20 * time.Second,
+		},
 	}
 }
 

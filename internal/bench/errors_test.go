@@ -70,7 +70,7 @@ func TestDefaultBudgetsSane(t *testing.T) {
 	if b.PureMaxStates <= 0 || b.PureMaxSteps <= 0 || b.PureTimeout <= 0 {
 		t.Errorf("budgets = %+v", b)
 	}
-	if b.GuidedTimeout <= 0 || b.GuidedMaxSteps <= 0 {
+	if b.Guided.PerCandidateTimeout <= 0 || b.Guided.PerCandidateMaxSteps <= 0 {
 		t.Errorf("budgets = %+v", b)
 	}
 }

@@ -55,7 +55,7 @@ func EncodeAttemptUnit(prog *bytecode.Program, cand *pathid.CandidatePath, rank 
 	// Ship the per-attempt frontier share, not the raw Workers knob: the
 	// worker runs one attempt with Parallel=0, so its effectiveWorkers()
 	// must land on the same value the coordinator's local slots use —
-	// engine choice (sequential vs epoch) is part of determinism.
+	// the epoch width (one state or several) is part of determinism.
 	w.Int(cfg.effectiveWorkers())
 	w.String(cfg.Scope)
 	w.Bool(cfg.Summaries)

@@ -33,45 +33,47 @@ type goldenRow struct {
 // other within one build; this table also catches a change that shifts
 // every engine together. The values were recorded from the separate
 // sequential, parallel and dispatch engines the slot pool replaced, so the
-// pool must reproduce them exactly. Workers >= 1 selects the epoch
-// executor, whose counters (and, on msgtool, detection) legitimately
-// differ from the sequential executor's (DESIGN.md §11).
+// pool must reproduce them exactly. Workers >= 1 widens the executor's
+// epochs from one state to several, so its counters (and, on msgtool,
+// detection) legitimately differ from the one-state loop's (DESIGN.md
+// §11). The workers-2 path counts include the faulting path, which the
+// run that stops on it completes like every other path.
 func TestGoldenDigests(t *testing.T) {
 	golden := map[string]map[string]goldenRow{
 		"polymorph": {
 			"sequential":          {"0f42d7cd2c3f896b", 9482, 2},
 			"parallel-2":          {"0f42d7cd2c3f896b", 9482, 2},
-			"workers-2":           {"0f42d7cd2c3f896b", 37186, 2},
+			"workers-2":           {"0f42d7cd2c3f896b", 37186, 3},
 			"dispatch-local-only": {"0f42d7cd2c3f896b", 9482, 2},
 		},
 		"ctree": {
 			"sequential":          {"4defe7ff3b81aa9a", 1205, 1},
 			"parallel-2":          {"4defe7ff3b81aa9a", 1205, 1},
-			"workers-2":           {"4defe7ff3b81aa9a", 4533, 0},
+			"workers-2":           {"4defe7ff3b81aa9a", 4533, 1},
 			"dispatch-local-only": {"4defe7ff3b81aa9a", 1205, 1},
 		},
 		"thttpd": {
 			"sequential":          {"26f2b6e639bca9d2", 49641, 1},
 			"parallel-2":          {"26f2b6e639bca9d2", 49641, 1},
-			"workers-2":           {"26f2b6e639bca9d2", 309300, 0},
+			"workers-2":           {"26f2b6e639bca9d2", 309300, 1},
 			"dispatch-local-only": {"26f2b6e639bca9d2", 49641, 1},
 		},
 		"grep": {
 			"sequential":          {"d83b6872c40dff5c", 1278443, 1},
 			"parallel-2":          {"d83b6872c40dff5c", 1278443, 1},
-			"workers-2":           {"d83b6872c40dff5c", 1277825, 0},
+			"workers-2":           {"d83b6872c40dff5c", 1277825, 1},
 			"dispatch-local-only": {"d83b6872c40dff5c", 1278443, 1},
 		},
 		"msgtool": {
 			"sequential":          {"1d791072cc29b364", 1602, 2},
 			"parallel-2":          {"1d791072cc29b364", 1602, 2},
-			"workers-2":           {"fc6ccb0e527f909a", 1355, 4},
+			"workers-2":           {"fc6ccb0e527f909a", 1355, 5},
 			"dispatch-local-only": {"1d791072cc29b364", 1602, 2},
 		},
 		"billing": {
 			"sequential":          {"7dad683cba7691f4", 202, 1},
 			"parallel-2":          {"7dad683cba7691f4", 202, 1},
-			"workers-2":           {"7dad683cba7691f4", 297, 2},
+			"workers-2":           {"7dad683cba7691f4", 297, 3},
 			"dispatch-local-only": {"7dad683cba7691f4", 202, 1},
 		},
 	}

@@ -47,13 +47,14 @@ type Config struct {
 	Parallel int
 
 	// Workers is the in-candidate frontier worker count handed to the
-	// symbolic executor (symexec.Options.Workers). 0 keeps the sequential
-	// per-candidate engine; >= 1 selects the deterministic epoch engine,
-	// whose results are identical for every worker count. When combined
-	// with Parallel > 1 the two multiply, so the budget is divided:
-	// each concurrent attempt gets max(1, Workers/Parallel) frontier
-	// workers — which leaves outcomes unchanged (the epoch engine is
-	// worker-count-invariant), only the wall-clock split.
+	// symbolic executor (symexec.Options.Workers). 0 drafts one state per
+	// epoch, the paper's loop; >= 1 drafts GuidedEpochWidth states per
+	// epoch and steps them on that many goroutines, with results identical
+	// for every worker count. When combined with Parallel > 1 the two
+	// multiply, so the budget is divided: each concurrent attempt gets
+	// max(1, Workers/Parallel) frontier workers — which leaves outcomes
+	// unchanged (the epoch engine is worker-count-invariant), only the
+	// wall-clock split.
 	Workers int
 
 	// Dispatch adds one remote slot per WorkerAddrs entry to the
@@ -143,34 +144,31 @@ type Config struct {
 	originHashes []uint64
 }
 
-// callMode maps the public Scope/Summaries knobs to a call-strategy mode.
-func (cfg Config) callMode() string {
-	switch {
-	case cfg.Summaries:
-		return symexec.CallSummarize
-	case cfg.Scope != "" && cfg.Scope != "all":
-		return symexec.CallHavoc
-	default:
-		return symexec.CallInterpret
-	}
-}
-
 // initCalls builds the compositional call strategy once per pipeline run
-// (no-op when one is already installed or the mode is interpret).
+// (no-op when one is already installed or every call is interpreted).
 func (cfg *Config) initCalls(prog *bytecode.Program) error {
-	mode := cfg.callMode()
-	if cfg.calls != nil || mode == symexec.CallInterpret {
+	if cfg.calls != nil || !cfg.Summaries && (cfg.Scope == "" || cfg.Scope == "all") {
 		return nil
 	}
 	pol, err := summary.ParsePolicy(cfg.Scope)
 	if err != nil {
 		return err
 	}
-	if mode == symexec.CallSummarize {
+	mode := symexec.CallHavoc
+	if cfg.Summaries {
+		mode = symexec.CallSummarize
 		cfg.summaryCache = summary.NewCache()
 	}
 	cfg.calls, err = symexec.NewCallStrategy(prog, mode, pol, cfg.summaryCache)
 	return err
+}
+
+// CallStrategy builds the compositional call strategy Scope and Summaries
+// select for prog, with its own summary cache; nil means every call is
+// interpreted.
+func (cfg Config) CallStrategy(prog *bytecode.Program) (symexec.CallStrategy, error) {
+	err := cfg.initCalls(prog)
+	return cfg.calls, err
 }
 
 // effectiveWorkers returns the frontier worker count for one candidate
@@ -511,13 +509,13 @@ func VerifyCandidateCtx(ctx context.Context, prog *bytecode.Program, cand *pathi
 	opts.OriginHashes = cfg.originHashes
 	opts.Calls = cfg.calls
 	opts.Workers = cfg.effectiveWorkers()
-	// Guided attempts draft a narrow epoch: the guidance concentrates the
-	// budget on states tracking the candidate path, and a wide draft
-	// force-steps off-path states the sequential loop would leave parked,
-	// multiplying steps-to-detection by the width. Width 4 keeps the
-	// epoch engine's detections aligned with the sequential engine on the
-	// bundled apps while still overlapping four quanta per epoch. (Pure
-	// exploration keeps the wider default — breadth is the point there.)
+	// Guided attempts with Workers >= 1 draft a narrow epoch: the guidance
+	// concentrates the budget on states tracking the candidate path, and a
+	// wide draft force-steps off-path states a one-state epoch would leave
+	// parked, multiplying steps-to-detection by the width. Width 4 keeps
+	// the detections aligned with Workers=0 on the bundled apps while
+	// still overlapping four quanta per epoch. (Pure exploration keeps the
+	// wider default — breadth is the point there.)
 	opts.EpochWidth = GuidedEpochWidth
 	opts.Timeout = cfg.PerCandidateTimeout
 	if cfg.PerCandidateMaxSteps > 0 {
@@ -623,7 +621,7 @@ func RunPureContext(ctx context.Context, prog *bytecode.Program, spec *symexec.I
 }
 
 // RunPureWorkers is RunPureContext with an in-run frontier worker count
-// (0: sequential engine; >= 1: the deterministic epoch engine).
+// (0: one state per quantum; >= 1: wider deterministic epochs).
 func RunPureWorkers(ctx context.Context, prog *bytecode.Program, spec *symexec.InputSpec, maxStates int, maxSteps int64, timeout time.Duration, workers int) *symexec.Result {
 	opts := symexec.DefaultOptions()
 	opts.Sched = symexec.NewBFS()

@@ -45,6 +45,18 @@ func SplitAddr(addr string) (network, address string) {
 	return "tcp", addr
 }
 
+// ParseAddrs splits a comma-separated worker address list (each entry in
+// SplitAddr syntax), dropping blanks.
+func ParseAddrs(list string) []string {
+	var addrs []string
+	for _, a := range strings.Split(list, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			addrs = append(addrs, a)
+		}
+	}
+	return addrs
+}
+
 // Listen opens a listener on addr (see SplitAddr for the syntax).
 func Listen(addr string) (net.Listener, error) {
 	network, address := SplitAddr(addr)

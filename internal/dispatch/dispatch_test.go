@@ -218,3 +218,16 @@ func TestTornStreamKillsClient(t *testing.T) {
 		t.Fatal("client survived a torn stream")
 	}
 }
+
+// TestParseAddrs: comma-separated address lists trim entries and drop
+// blanks, leaving each address's own syntax to SplitAddr.
+func TestParseAddrs(t *testing.T) {
+	got := ParseAddrs(" unix:/tmp/a.sock, ,tcp:h:1,/tmp/b.sock ,")
+	want := []string{"unix:/tmp/a.sock", "tcp:h:1", "/tmp/b.sock"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("ParseAddrs = %q, want %q", got, want)
+	}
+	if got := ParseAddrs(""); got != nil {
+		t.Errorf("ParseAddrs(\"\") = %q, want nil", got)
+	}
+}

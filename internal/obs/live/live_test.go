@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"net/http"
 	"os"
@@ -405,5 +406,40 @@ func TestRuntimeWiring(t *testing.T) {
 	}
 	if !strings.Contains(summary, `reason "cancelled"`) {
 		t.Errorf("summary = %q, want cancelled reason", summary)
+	}
+}
+
+// TestBindFlags: the shared flag set parses into Options, and a daemon
+// keeps its own -listen and always-on metrics out of it.
+func TestBindFlags(t *testing.T) {
+	fs := flag.NewFlagSet("cli", flag.ContinueOnError)
+	o := BindFlags(fs, "cli", false)
+	if o.Interval != time.Second || o.FlightDepth != flight.DefaultDepth {
+		t.Errorf("defaults: %+v", *o)
+	}
+	err := fs.Parse([]string{"-listen", "localhost:0", "-metrics", "-trace", "t.jsonl",
+		"-trace-interval", "50ms", "-flight", "f.jsonl", "-flight-depth", "7"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Options{Binary: "cli", Listen: "localhost:0", Metrics: true, Trace: "t.jsonl",
+		Interval: 50 * time.Millisecond, Flight: "f.jsonl", FlightDepth: 7}
+	if o.Binary != want.Binary || o.Listen != want.Listen || o.Metrics != want.Metrics ||
+		o.Trace != want.Trace || o.Interval != want.Interval || o.Flight != want.Flight ||
+		o.FlightDepth != want.FlightDepth {
+		t.Errorf("parsed %+v, want %+v", *o, want)
+	}
+
+	fs = flag.NewFlagSet("daemon", flag.ContinueOnError)
+	BindFlags(fs, "daemon", true)
+	for _, name := range []string{"listen", "metrics"} {
+		if fs.Lookup(name) != nil {
+			t.Errorf("daemon flag set registers -%s", name)
+		}
+	}
+	for _, name := range []string{"trace", "trace-interval", "flight", "flight-depth"} {
+		if fs.Lookup(name) == nil {
+			t.Errorf("daemon flag set lacks -%s", name)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package live
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"net/http"
 	"os"
@@ -12,10 +13,8 @@ import (
 	"repro/internal/obs/flight"
 )
 
-// Options are the observability flag values a binary collects; Init turns
-// them into a wired Runtime. This is the one place the statsym, symexec
-// and benchtab binaries share their -listen/-trace/-metrics/-flight
-// plumbing instead of three copies of it.
+// Options are the observability flag values a binary collects (see
+// BindFlags); Init turns them into a wired Runtime.
 type Options struct {
 	Binary string // binary name for diagnostics ("statsym", ...)
 
@@ -38,6 +37,25 @@ type Options struct {
 	// without a Listen address, for embedders that fan events out to
 	// their own subscribers (the daemon's per-job SSE streams).
 	ForceHub bool
+}
+
+// BindFlags registers the observability flags every binary shares on fs
+// and returns the Options they fill in once fs is parsed, ready for Init:
+// -trace, -trace-interval, -flight and -flight-depth, plus -listen and
+// -metrics unless daemon is set. A daemon serves introspection on its own
+// API listener and always keeps metrics, so it sets Listen and Metrics on
+// the returned Options itself.
+func BindFlags(fs *flag.FlagSet, binary string, daemon bool) *Options {
+	o := &Options{Binary: binary}
+	if !daemon {
+		fs.StringVar(&o.Listen, "listen", "", "serve live introspection (/metrics, /progress, /spans, pprof) on this address (e.g. localhost:6060)")
+		fs.BoolVar(&o.Metrics, "metrics", false, "print the metrics registry at exit")
+	}
+	fs.StringVar(&o.Trace, "trace", "", "stream a JSONL event trace (spans, progress, warnings) to this file")
+	fs.DurationVar(&o.Interval, "trace-interval", time.Second, "progress-snapshot period for -trace")
+	fs.StringVar(&o.Flight, "flight", "", "dump the flight-recorder ring (JSONL) to this file on fault, panic, or interrupt")
+	fs.IntVar(&o.FlightDepth, "flight-depth", flight.DefaultDepth, "flight-recorder events retained per category")
+	return o
 }
 
 // Runtime is a binary's wired observability: the Obs handle (nil when

@@ -225,7 +225,7 @@ func (t *VarTable) Export() []VarInfo {
 
 // Dense reports whether the table has only plain dense allocations — no
 // lane groups and no Reserve blocks — so Export/Restore round-trips it
-// exactly. The sequential execution engine only ever allocates densely.
+// exactly. A one-state-per-epoch executor only ever allocates densely.
 func (t *VarTable) Dense() bool {
 	return len(*t.groups.Load()) == 0 && len(*t.ranges.Load()) == 0
 }
@@ -302,8 +302,8 @@ func (t *VarTable) Name(v Var) string {
 }
 
 // VarAllocator abstracts variable allocation so code can run against the
-// dense table (sequential execution) or a lane (one worker of the parallel
-// frontier) without caring which.
+// dense table (one-slot execution) or a lane (one slot of a wider epoch)
+// without caring which.
 type VarAllocator interface {
 	NewVar(name string) Var
 	NewVarBounded(name string, lo, hi int64) Var

@@ -13,7 +13,7 @@ import (
 )
 
 // Checkpoint capture and resume. A checkpoint is the complete serialized
-// search of a sequential pure-mode executor — program, input spec, solver
+// search of a one-slot pure-mode executor — program, input spec, solver
 // variable table, input registry, effort counters, and every live state —
 // such that resuming it and running to completion produces the same result
 // an uninterrupted run would have (except wall-clock fields). The solver's
@@ -21,13 +21,14 @@ import (
 // history — and with it every solver counter — replays identically.
 //
 // Capture is restricted to the configurations where that equivalence is
-// provable: the sequential engine (no worker lanes, whose variable IDs are
-// lane-striped), no guidance hook and no summarized calls (their closures
-// cannot cross a process boundary), and a dense variable table. The
-// equivalence additionally assumes the run stopped at a quantum boundary
-// with a FIFO scheduler; a mid-quantum step-limit stop re-enqueues the
-// interrupted state at the BFS tail, which is exactly the order the
-// checkpoint preserves, so capture-after-StepLimited resumes faithfully.
+// provable: Workers=0, one state per epoch (no slot lanes, whose variable
+// IDs are lane-striped), no guidance hook and no summarized calls (their
+// closures cannot cross a process boundary), and a dense variable table.
+// The equivalence additionally assumes the run stopped at a quantum
+// boundary with a FIFO scheduler; a mid-quantum step-limit stop
+// re-enqueues the interrupted state at the BFS tail, which is exactly the
+// order the checkpoint preserves, so capture-after-StepLimited resumes
+// faithfully.
 const checkpointVersion = 1
 
 // EncodeCheckpoint serializes the executor's current search. The scheduler
@@ -55,7 +56,7 @@ func (ex *Executor) EncodeCheckpoint() ([]byte, error) {
 func (ex *Executor) checkpointable() error {
 	switch {
 	case ex.Opts.Workers > 0:
-		return fmt.Errorf("symexec: checkpoint requires the sequential engine (Workers=0)")
+		return fmt.Errorf("symexec: checkpoint requires one state per epoch (Workers=0)")
 	case ex.Opts.Hook != nil:
 		return fmt.Errorf("symexec: checkpoint cannot capture a guidance hook")
 	case ex.Opts.Calls != nil:
@@ -485,7 +486,7 @@ func (ex *Executor) encodeStates(e *stateEncoder, w *snapshot.Writer) ([]byte, e
 // ResumeExecutor reconstructs an executor from a checkpoint blob. The blob
 // is self-contained (program, spec, variable table, registry, states);
 // opts supplies the run configuration, which must stay inside the same
-// sequential pure-mode envelope capture requires. RunContext on the
+// one-slot pure-mode envelope capture requires. RunContext on the
 // returned executor continues the search without re-running initialization.
 //
 // Budget semantics: the restored Steps/MaxStates counters carry over, so
@@ -493,7 +494,7 @@ func (ex *Executor) encodeStates(e *stateEncoder, w *snapshot.Writer) ([]byte, e
 // the captured run's limits stops immediately; raise them to continue.
 func ResumeExecutor(blob []byte, opts Options) (*Executor, error) {
 	if opts.Workers > 0 || opts.Hook != nil || opts.Calls != nil {
-		return nil, fmt.Errorf("symexec: resume requires the sequential pure engine (no workers, hook, or call policy)")
+		return nil, fmt.Errorf("symexec: resume requires the default pure engine (no workers, hook, or call policy)")
 	}
 	r := snapshot.NewReader(blob)
 	ver, err := r.Uvarint()
@@ -515,42 +516,10 @@ func ResumeExecutor(blob []byte, opts Options) (*Executor, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	if opts.Sched == nil {
-		opts.Sched = NewBFS()
-	}
-	if opts.MaxStates == 0 {
-		opts.MaxStates = DefaultMaxStates
-	}
-	if opts.MaxSteps == 0 {
-		opts.MaxSteps = DefaultMaxSteps
-	}
-	if opts.BatchSize == 0 {
-		opts.BatchSize = DefaultBatchSize
-	}
-	if opts.MaxDepth == 0 {
-		opts.MaxDepth = DefaultMaxDepth
-	}
-	reg := newInputRegistry(table, spec)
-	ex := &Executor{
-		Prog:    prog,
-		Table:   table,
-		Solver:  solver.NewCached(solver.New()),
-		Opts:    opts,
-		inputs:  reg,
-		sched:   opts.Sched,
-		res:     &Result{},
-		visits:  make([][]int64, len(prog.Funcs)),
-		resumed: true,
-	}
-	ex.Solver.Shared = opts.SharedCache
-	ex.Solver.FastPaths = opts.SolverFastPaths
-	if cov, ok := opts.Sched.(*CoverageScheduler); ok {
-		cov.SetVisitFunc(ex.visitCount)
-	}
-
+	ex := newExecutor(prog, table, spec, opts)
+	ex.resumed = true
 	d := newStateDecoder(r)
-	if err := decodeRegistry(d, reg); err != nil {
+	if err := decodeRegistry(d, ex.inputs); err != nil {
 		return nil, err
 	}
 	if err := ex.decodeCounters(r); err != nil {
@@ -643,9 +612,9 @@ func (ex *Executor) EncodeFrontierShards(n int) ([][]byte, error) {
 		// Forks through Revivals, nine solver baselines, vuln count.
 		w.Int(ex.nextID)
 		w.Int(ex.nextSeq)
-		w.Int(0) // Paths
-		w.Int(0) // StatesCreated
-		w.Int(0) // MaxLive
+		w.Int(0)    // Paths
+		w.Int(0)    // StatesCreated
+		w.Int(0)    // MaxLive
 		w.Varint(0) // Steps
 		for i := 0; i < 6; i++ {
 			w.Int(0) // Forks, SummaryCalls, SummaryPaths, HavocCalls, DepthExhausted, Revivals

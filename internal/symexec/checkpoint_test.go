@@ -2,7 +2,9 @@ package symexec
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/bytecode"
@@ -265,5 +267,47 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	}
 	if _, err := ResumeExecutor(back, ckptOpts()); err != nil {
 		t.Fatalf("resume from file payload: %v", err)
+	}
+}
+
+// TestResumeSkipsCarriedSite: a checkpoint captured with StopAtFirstVuln
+// off carries the vulnerability it found; a resume that stops at the
+// first vulnerability must pass over repeats of the carried site exactly
+// as the sequential loop does. A slot that stopped on the repeat would
+// end its quantum halfway through the faulting instruction, and the state
+// would explore on without the in-bounds constraint.
+func TestResumeSkipsCarriedSite(t *testing.T) {
+	prog := bytecode.MustCompile("carried", `
+func main() int {
+  int a = input_int("a");
+  int b = input_int("b");
+  buf dst[4];
+  int r = 0;
+  if (b > 5) { r = r + 1; } else { r = r + 2; if (b > 2) { r = r + 3; } }
+  bufwrite(dst, a, r);
+  if (a > 100) { r = r + 7; }
+  return r;
+}`)
+	ex := New(prog, nil, Options{CheckStringReads: true, MaxSteps: 30})
+	if res := ex.Run(); len(res.Vulns) != 1 || ex.Pending() == 0 {
+		t.Fatalf("capture: %d vulnerabilities, %d pending states; want 1 and some", len(res.Vulns), ex.Pending())
+	}
+	blob, err := ex.EncodeCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resume := func(run func(*Executor) *Result) Result {
+		rx, err := ResumeExecutor(blob, Options{CheckStringReads: true, StopAtFirstVuln: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := *run(rx)
+		r.Elapsed, r.SolverTime, r.Epochs = 0, 0, 0
+		return r
+	}
+	got := resume((*Executor).Run)
+	want := resume(func(rx *Executor) *Result { return RunOracle(context.Background(), rx) })
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("resumed run diverged from the sequential loop:\n got  %+v\n want %+v", got, want)
 	}
 }

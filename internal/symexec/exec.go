@@ -77,19 +77,22 @@ type Options struct {
 	// concrete values and subsumption can sharpen Unknown into Unsat — so
 	// it is opt-in (see solver.CachedSolver.FastPaths).
 	SolverFastPaths bool
-	// Workers selects the engine. 0 (the default) runs the original
-	// sequential loop. >= 1 runs the epoch-based parallel frontier engine
-	// (frontier.go) with that many worker goroutines: states are drafted
-	// from the scheduler in canonical order, stepped concurrently, and
-	// merged back in draft order. Results depend only on EpochWidth, never
-	// on the worker count, so Workers=1 and Workers=8 produce identical
-	// Results (and the race detector stays clean). Note the epoch engine is
-	// a different deterministic engine from the sequential loop: variable
-	// numbering is laned and input channels are pre-registered, so its
-	// exploration can differ from Workers=0 on programs where those matter.
+	// Workers selects how many goroutines step the frontier. Every run uses
+	// the epoch loop (frontier.go): draft states from the scheduler, run
+	// each for one quantum on its own slot, merge the outcomes in draft
+	// order. 0 (the default) drafts one state per epoch on the calling
+	// goroutine — the paper's pick/run/re-insert loop, with dense variable
+	// numbering, so only these runs can be checkpointed. >= 1 drafts
+	// EpochWidth states per epoch and steps them on that many worker
+	// goroutines. Results depend only on the width, never on the worker
+	// count, so Workers=1 and Workers=8 produce identical Results (and the
+	// race detector stays clean). Wider epochs number variables by lane and
+	// pre-register input channels, so their exploration can differ from
+	// Workers=0 on programs where those matter.
 	Workers int
-	// EpochWidth is the number of states drafted per epoch (0:
-	// DefaultEpochWidth). It, not Workers, determines the schedule.
+	// EpochWidth is the number of states drafted per epoch when Workers
+	// >= 1 (0: DefaultEpochWidth). It, not Workers, determines the
+	// schedule.
 	EpochWidth int
 }
 
@@ -108,6 +111,18 @@ func DefaultOptions() Options {
 		StopAtFirstVuln:  true,
 		CheckStringReads: true,
 	}
+}
+
+// width is the number of states drafted per epoch: 1 for the default
+// Workers=0, EpochWidth (or its default) otherwise.
+func (o *Options) width() int {
+	switch {
+	case o.Workers <= 0:
+		return 1
+	case o.EpochWidth <= 0:
+		return DefaultEpochWidth
+	}
+	return o.EpochWidth
 }
 
 // Vulnerability is a proven-reachable fault with its complete path,
@@ -184,9 +199,9 @@ type Result struct {
 	SuspendedAtEnd int
 	// Revivals counts suspended-pool revivals (guidance fallback events).
 	Revivals int
-	// Epochs counts merge epochs of the parallel frontier engine (0 under
-	// the sequential engine). Deterministic: a function of EpochWidth and
-	// the program, never of Workers.
+	// Epochs counts merge epochs of the scheduling loop — one per quantum
+	// at the default width of 1. Deterministic: a function of the width
+	// and the program, never of Workers.
 	Epochs int64
 }
 
@@ -217,18 +232,21 @@ type Executor struct {
 
 	visits [][]int64
 
-	// Parallel frontier engine plumbing (see frontier.go). lane, when set,
-	// supplies this executor view's fresh variable IDs (each worker slot has
-	// its own lane so concurrent allocation is deterministic); extraWall
-	// accumulates the worker slots' solver wall time.
+	// Epoch-loop plumbing (see frontier.go). lane, when set, supplies this
+	// executor view's fresh variable IDs (above width 1 each slot has its
+	// own lane so concurrent allocation is deterministic); extraWall
+	// accumulates the other slots' solver wall time; parent is the run a
+	// slot belongs to (nil on the run itself).
 	lane      *solver.Lane
 	extraWall time.Duration
+	parent    *Executor
 
-	// Epoch-engine slots buffer visit counts locally (visitDelta, with
-	// visitDirty listing the touched instructions) and flush them into the
-	// main executor's arrays at the merge barrier, where the scheduler —
-	// the only reader — runs. No worker touches the shared arrays while a
-	// quantum runs, so counts need no atomics.
+	// Slots of epochs wider than one buffer visit counts locally
+	// (visitDelta, with visitDirty listing the touched instructions) and
+	// flush them into the main executor's arrays at the merge barrier,
+	// where the scheduler — the only reader — runs. No worker touches the
+	// shared arrays while a quantum runs, so counts need no atomics. A
+	// lone slot counts into the shared arrays directly.
 	visitDelta [][]int64
 	visitDirty []visitRef
 
@@ -246,7 +264,26 @@ type Executor struct {
 
 // New prepares an executor for prog with the given symbolic-input spec.
 func New(prog *bytecode.Program, spec *InputSpec, opts Options) *Executor {
-	table := solver.NewVarTable()
+	ex := newExecutor(prog, solver.NewVarTable(), spec, opts)
+	if ex.Opts.width() > 1 {
+		// Deterministic variable identity under concurrency: pre-register
+		// every literal-named input channel and reserve byte blocks for
+		// symbolic strings, so IDs never depend on which worker gets there
+		// first.
+		ex.inputs.blocks = true
+		ex.inputs.prescan(prog)
+		// Slots flush their visit deltas straight into these arrays at the
+		// merge barrier; allocate them all up front.
+		for i, fn := range prog.Funcs {
+			ex.visits[i] = make([]int64, len(fn.Code))
+		}
+	}
+	return ex
+}
+
+// newExecutor builds an executor over table with the unset options
+// defaulted; New and ResumeExecutor share it.
+func newExecutor(prog *bytecode.Program, table *solver.VarTable, spec *InputSpec, opts Options) *Executor {
 	if opts.Sched == nil {
 		opts.Sched = NewBFS()
 	}
@@ -276,19 +313,6 @@ func New(prog *bytecode.Program, spec *InputSpec, opts Options) *Executor {
 	ex.Solver.FastPaths = opts.SolverFastPaths
 	if cov, ok := opts.Sched.(*CoverageScheduler); ok {
 		cov.SetVisitFunc(ex.visitCount)
-	}
-	if opts.Workers > 0 {
-		// Deterministic variable identity under concurrency: pre-register
-		// every literal-named input channel and reserve byte blocks for
-		// symbolic strings, so IDs never depend on which worker gets there
-		// first.
-		ex.inputs.blocks = true
-		ex.inputs.prescan(prog)
-		// Slots flush their visit deltas straight into these arrays at the
-		// merge barrier; allocate them all up front.
-		for i, fn := range prog.Funcs {
-			ex.visits[i] = make([]int64, len(fn.Code))
-		}
 	}
 	return ex
 }
@@ -365,14 +389,21 @@ func (ex *Executor) Run() *Result {
 }
 
 // RunContext is Run under a context: the step loop checks the context
-// cooperatively once per scheduling quantum, so cancellation latency is
-// bounded by one batch of instructions (plus at most one solver query,
+// cooperatively once per epoch (one scheduling quantum at the default
+// width), so cancellation latency is bounded by one batch of instructions
+// per drafted state (plus at most one solver query,
 // each of which is itself budget-bounded). Options.Timeout, when set, is
 // layered on top of ctx as a deadline; an expired deadline is recorded as
 // TimedOut, an explicit cancellation as Cancelled. Either way the Result
 // is complete and internally consistent — counters reflect exactly the
 // work done before the stop.
 func (ex *Executor) RunContext(ctx context.Context) *Result {
+	return ex.runContext(ctx, (*Executor).runEpochs)
+}
+
+// runContext is RunContext with the scheduling loop as a parameter, so a
+// reference loop can run under the same setup and counter fold.
+func (ex *Executor) runContext(ctx context.Context, loop func(*Executor)) *Result {
 	start := time.Now()
 	if ctx == nil {
 		ctx = context.Background()
@@ -399,11 +430,7 @@ func (ex *Executor) RunContext(ctx context.Context) *Result {
 		}
 		ex.addState(st)
 	}
-	if ex.Opts.Workers > 0 {
-		ex.runEpochs()
-	} else {
-		ex.runSequential()
-	}
+	loop(ex)
 	ex.res.SuspendedAtEnd = len(ex.suspended)
 	// Logical solver counters (CachedSolver.Queries, not S.Stats): they
 	// are identical whether or not a SharedCache served some verdicts, so
@@ -423,36 +450,6 @@ func (ex *Executor) RunContext(ctx context.Context) *Result {
 		ex.mirrorMetrics()
 	}
 	return ex.res
-}
-
-// runSequential is the original single-threaded scheduling loop.
-func (ex *Executor) runSequential() {
-	for !ex.stopped {
-		if ex.res.Steps >= ex.Opts.MaxSteps {
-			ex.res.StepLimited = true
-			break
-		}
-		if err := ex.ctx.Err(); err != nil {
-			ex.noteInterrupt(err)
-			break
-		}
-		if ex.obsv != nil && ex.obsv.Interval > 0 && time.Since(ex.lastSnap) >= ex.obsv.Interval {
-			ex.emitProgress()
-			ex.lastSnap = time.Now()
-		}
-		cur := ex.sched.Next()
-		if cur == nil {
-			if len(ex.suspended) == 0 {
-				break
-			}
-			// Revive the suspended pool: guidance found nothing among the
-			// prioritized states, so fall back toward pure symbolic
-			// execution (paper footnote 1).
-			ex.reviveSuspended()
-			continue
-		}
-		ex.runQuantum(cur)
-	}
 }
 
 // reviveSuspended returns every suspended state to the scheduler.
@@ -543,6 +540,8 @@ func (ex *Executor) mirrorMetrics() {
 	}
 	if r.Epochs > 0 {
 		m.Counter(obs.MetricEpochs).Add(r.Epochs)
+	}
+	if ex.Opts.Workers > 0 {
 		m.Gauge(obs.MetricWorkers).SetMax(int64(ex.Opts.Workers))
 	}
 }
@@ -614,12 +613,7 @@ func (ex *Executor) addState(st *State) {
 		// The guidance hook suspended this child at its birth (per-path
 		// Leave events of a summary application); park it directly.
 		st.pendingSuspend = false
-		st.Status = StatusSuspended
-		ex.suspended = append(ex.suspended, st)
-		ex.suspensions++
-		if ex.hops != nil {
-			ex.hops.Observe(int64(st.Diverted))
-		}
+		ex.suspend(st)
 	} else {
 		st.Status = StatusActive
 		ex.sched.Add(st)
@@ -637,36 +631,14 @@ func (ex *Executor) liveStates() int {
 	return ex.sched.Len() + len(ex.suspended)
 }
 
-// runQuantum executes up to BatchSize instructions of st, then reinserts
-// it into the scheduler if it is still runnable.
-func (ex *Executor) runQuantum(st *State) {
-	for i := 0; i < ex.Opts.BatchSize; i++ {
-		children, suspend, done := ex.step(st)
-		for _, child := range children {
-			ex.addState(child)
-			if ex.stopped {
-				return
-			}
-		}
-		if suspend {
-			st.Status = StatusSuspended
-			ex.suspended = append(ex.suspended, st)
-			ex.suspensions++
-			if ex.hops != nil {
-				ex.hops.Observe(int64(st.Diverted))
-			}
-			return
-		}
-		if done {
-			ex.res.Paths++
-			return
-		}
-		if ex.stopped || ex.res.Steps >= ex.Opts.MaxSteps {
-			break
-		}
-	}
-	if !ex.stopped {
-		ex.sched.Add(st)
+// suspend parks st in the suspended pool: the guidance hook diverted it
+// past the hop threshold.
+func (ex *Executor) suspend(st *State) {
+	st.Status = StatusSuspended
+	ex.suspended = append(ex.suspended, st)
+	ex.suspensions++
+	if ex.hops != nil {
+		ex.hops.Observe(int64(st.Diverted))
 	}
 }
 
@@ -930,15 +902,25 @@ func (ex *Executor) report(st *State, kind interp.FaultKind, pos minic.Pos, m so
 		Model:       m,
 		Witness:     ex.inputs.witness(m),
 	}
-	for _, prev := range ex.res.Vulns {
-		if prev.Site() == v.Site() {
-			return
-		}
+	if ex.seen(v) {
+		return
 	}
 	ex.res.Vulns = append(ex.res.Vulns, v)
 	if ex.Opts.StopAtFirstVuln {
 		ex.stopped = true
 	}
+}
+
+// seen reports whether a vulnerability at v's site is already recorded —
+// for a slot, by this quantum or by its run (the merge would drop the
+// duplicate, so the slot must not stop on it either).
+func (ex *Executor) seen(v *Vulnerability) bool {
+	for _, prev := range ex.res.Vulns {
+		if prev.Site() == v.Site() {
+			return true
+		}
+	}
+	return ex.parent != nil && ex.parent.seen(v)
 }
 
 // SymbolicInputs lists the symbolic channels registered so far.

@@ -113,7 +113,7 @@ type inputRegistry struct {
 	// names, out-of-block byte indexes. Such late allocations are ordered
 	// by the registry lock, not by the epoch schedule, so they are the one
 	// place parallel runs may diverge; none of the bundled apps hits it.
-	// nil means allocate densely from the table (the sequential engine).
+	// nil means allocate densely from the table (width-1 epochs).
 	overflow solver.VarAllocator
 	// blocks enables byte-block reservation for newly created strings.
 	blocks bool
@@ -326,9 +326,8 @@ func (r *inputRegistry) newStrLocked(al solver.VarAllocator, label string, maxLe
 
 // freshStr allocates an anonymous symbolic string (results of concat,
 // substr, atoi-style approximations). It is not an input channel and does
-// not appear in witnesses. al chooses where its variables come from: the
-// sequential engine passes the dense table, parallel workers their own
-// lane.
+// not appear in witnesses. al chooses where its variables come from: a
+// lone slot passes the dense table, slots of wider epochs their own lane.
 func (r *inputRegistry) freshStr(al solver.VarAllocator, label string, maxLen int64) *SymString {
 	r.mu.Lock()
 	defer r.mu.Unlock()

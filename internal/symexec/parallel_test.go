@@ -254,3 +254,29 @@ func TestParallelFrameReleaseStress(t *testing.T) {
 		}
 	}
 }
+
+// TestParallelFaultCountsPath: a run that stops on a concrete fault still
+// counts the faulting path — Result.Paths counts faulted states — at every
+// width, so Workers=0 and Workers=1 report the same Paths.
+func TestParallelFaultCountsPath(t *testing.T) {
+	prog := bytecode.MustCompile("concrete-fault", `
+func main() int {
+  int a = input_int("a");
+  buf b[2];
+  if (a > 5) { bufwrite(b, 3, a); }
+  return 0;
+}`)
+	paths := map[int]int{}
+	for _, workers := range []int{0, 1} {
+		opts := DefaultOptions()
+		opts.Workers = workers
+		res := New(prog, nil, opts).Run()
+		if !res.Found() {
+			t.Fatalf("workers=%d: concrete overflow not found", workers)
+		}
+		paths[workers] = res.Paths
+	}
+	if paths[0] == 0 || paths[1] != paths[0] {
+		t.Errorf("Paths = %d at Workers=1, %d at Workers=0; want equal and nonzero", paths[1], paths[0])
+	}
+}

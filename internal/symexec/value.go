@@ -118,8 +118,7 @@ type SymString struct {
 	// range record in the variable table. Blocks make byte variable IDs
 	// independent of which worker touches a byte first under parallel
 	// frontier execution. ByteStride == 0 means no block was reserved and
-	// bytes go through the executor's lazy map (the sequential engine's
-	// path).
+	// bytes go through the executor's lazy map (the width-1 path).
 	ByteBase   solver.Var
 	ByteStride int32
 	ByteLen    int
