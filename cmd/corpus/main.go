@@ -101,7 +101,7 @@ func cmdIngest(args []string) error {
 		if err := w.Close(); err != nil {
 			return err
 		}
-		report(s, fmt.Sprintf("ingested %s", *from), w.SealedBytes(), start)
+		report(s, fmt.Sprintf("ingested %s", *from), w.Sealed().Bytes, start)
 		return nil
 	}
 

@@ -6,15 +6,13 @@
 // dump (the -flight flag; first line is a flight.header record) is checked
 // with the flight package's structural validator, and a Prometheus
 // /metrics scrape (detected by its "# HELP"/"# TYPE" leader) with the
-// exposition lint from the live package. For a binary corpus segment
-// (*.seg) it verifies magic, trailer, footer checksum, block CRCs, and a
-// full record decode against the dictionaries; for a corpus store
-// directory it verifies every manifested segment plus the manifest itself.
-// Persistent solver-cache artifacts get the same treatment: a directory
-// holding a solvercache.json manifest (or a bare *.scq segment) is
-// deep-validated — block CRCs, entry decode, per-entry digest and model
-// self-consistency, digest ordering, and manifest/footer agreement.
-// A checkpoint (*.ssnap) is checked frame-first (single CRC-verified
+// exposition lint from the live package. Both segment-store kinds — trace
+// corpora (*.seg, manifest.json) and persistent solver caches (*.scq,
+// solvercache.json) — go through one segment check (magic, trailer, footer
+// checksum, block CRCs, a full record decode, and for cache entries the
+// digest, model and ordering checks) and one store check (every
+// manifested segment plus manifest agreement and stray files). A
+// checkpoint (*.ssnap) is checked frame-first (single CRC-verified
 // checkpoint frame, no trailing bytes) and then fully decoded by resuming
 // it; a dispatch audit log (-dispatch-log JSONL, sniffed by its "event"
 // field) must hold only known scheduling events and record a merge.
@@ -63,19 +61,20 @@ func main() {
 	var summary string
 	var err error
 	if st, serr := os.Stat(arg); serr == nil && st.IsDir() {
-		if persist.IsStoreDir(arg) {
-			problems, summary, err = checkCacheStore(arg)
-		} else if corpus.IsShardedDir(arg) {
+		switch {
+		case cacheStore.kind.StoreIn(arg):
+			problems, summary, err = checkStore(arg, cacheStore)
+		case corpus.IsShardedDir(arg):
 			problems, summary, err = checkShardedStore(arg)
-		} else {
-			problems, summary, err = checkStore(arg)
+		default:
+			problems, summary, err = checkStore(arg, traceStore)
 		}
 	} else if strings.HasSuffix(arg, ".ssnap") {
 		problems, summary, err = checkCheckpoint(arg)
-	} else if strings.HasSuffix(arg, ".seg") {
-		problems, summary, err = checkSegment(arg)
-	} else if strings.HasSuffix(arg, persist.SegmentSuffix) {
-		problems, summary, err = checkCacheSegment(arg)
+	} else if strings.HasSuffix(arg, traceStore.kind.Suffix) {
+		problems, summary, err = checkSegment(arg, traceStore)
+	} else if strings.HasSuffix(arg, cacheStore.kind.Suffix) {
+		problems, summary, err = checkSegment(arg, cacheStore)
 	} else {
 		switch sniff(arg) {
 		case "flight":
@@ -326,58 +325,45 @@ func checkDispatchLog(path string) (problems []string, summary string, err error
 	return problems, summary, nil
 }
 
-// checkSegment deep-validates one binary corpus segment. A torn segment
-// surfaces as an open error (non-zero exit), corruption as problems.
-func checkSegment(path string) (problems []string, summary string, err error) {
-	rep, err := corpus.VerifySegmentFile(path)
+// storeKind pairs a segment-store kind with its deep segment check.
+type storeKind struct {
+	kind  *corpus.Kind
+	check func(path string) (*corpus.SegmentReport, error)
+}
+
+var (
+	traceStore = storeKind{corpus.TraceKind, corpus.VerifySegmentFile}
+	cacheStore = storeKind{persist.CacheKind, persist.VerifySegmentFile}
+)
+
+// checkSegment deep-validates one segment file of either store kind: block
+// CRCs and a full record decode, plus the kind's own record checks (for
+// solver-cache entries: digest recompute, model check, digest ordering). A
+// torn segment surfaces as an open error (non-zero exit), corruption as
+// problems.
+func checkSegment(path string, k storeKind) (problems []string, summary string, err error) {
+	rep, err := k.check(path)
 	if err != nil {
 		return nil, "", err
 	}
-	summary = fmt.Sprintf("tracecheck: %s: %d blocks, %d runs, %d records, %d bytes, %d problems",
-		path, rep.Blocks, rep.Runs, rep.Records, rep.Bytes, len(rep.Problems))
+	summary = fmt.Sprintf("tracecheck: %s: %s segment — %d blocks, %s, %d bytes, %d problems",
+		path, k.kind.Label, rep.Blocks, k.kind.Counts(rep.SegmentInfo), rep.Bytes, len(rep.Problems))
 	return rep.Problems, summary, nil
 }
 
-// checkCacheSegment deep-validates one solver-cache segment (*.scq): block
-// CRCs, a full entry decode, every entry's self-consistency (stored digest
-// vs recomputed, Sat models satisfying their conjunctions), within-block
-// digest ordering, and footer agreement.
-func checkCacheSegment(path string) (problems []string, summary string, err error) {
-	rep, err := persist.VerifySegmentFile(path)
+// checkStore validates a whole store directory of either kind: every
+// manifested segment plus manifest/footer agreement and stray-file
+// detection.
+func checkStore(dir string, k storeKind) (problems []string, summary string, err error) {
+	s, err := corpus.OpenStore(k.kind, dir, nil)
 	if err != nil {
 		return nil, "", err
 	}
-	summary = fmt.Sprintf("tracecheck: %s: solver-cache segment — %d blocks, %d entries, %d bytes, %d problems",
-		path, rep.Blocks, rep.Entries, rep.Bytes, len(rep.Problems))
-	return rep.Problems, summary, nil
-}
-
-// checkCacheStore validates a whole solver-cache store directory
-// (recognized by its solvercache.json manifest): every manifested segment
-// plus manifest/footer consistency and stray-file detection.
-func checkCacheStore(dir string) (problems []string, summary string, err error) {
-	s, err := persist.Open(dir)
+	rep, err := s.VerifyWith(k.check)
 	if err != nil {
 		return nil, "", err
 	}
-	rep, err := s.Verify()
-	if err != nil {
-		return nil, "", err
-	}
-	return rep.AllProblems(), "tracecheck: " + dir + ": solver cache — " + rep.Summary(), nil
-}
-
-// checkStore validates a whole corpus store directory.
-func checkStore(dir string) (problems []string, summary string, err error) {
-	s, err := corpus.Open(dir)
-	if err != nil {
-		return nil, "", err
-	}
-	rep, err := s.Verify()
-	if err != nil {
-		return nil, "", err
-	}
-	return rep.AllProblems(), "tracecheck: " + dir + ": " + rep.Summary(), nil
+	return rep.AllProblems(), fmt.Sprintf("tracecheck: %s: %s store — %s", dir, k.kind.Label, rep.Summary()), nil
 }
 
 func check(path string) (problems []string, summary string, err error) {

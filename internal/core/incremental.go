@@ -26,7 +26,7 @@ type IncrementalPlan struct {
 // without mutating the store. A missing or not-yet-initialized directory
 // yields a Fresh plan, not an error — the run simply starts cold.
 func PlanIncremental(cacheDir string, prog *bytecode.Program) (*IncrementalPlan, error) {
-	if !persist.IsStoreDir(cacheDir) {
+	if !persist.CacheKind.StoreIn(cacheDir) {
 		return &IncrementalPlan{Fresh: true}, nil
 	}
 	st, err := persist.Open(cacheDir)

@@ -4,10 +4,11 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 
-	"repro/internal/corpus"
+	"repro/internal/durable"
 	"repro/internal/pathid"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -186,5 +187,8 @@ func saveStatsCache(dir string, fp uint64, program string, pathCfg pathid.Config
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return
 	}
-	_ = corpus.WriteFileAtomic(dir, statsCacheName, blob)
+	_ = durable.WriteFile(filepath.Join(dir, statsCacheName), func(w io.Writer) error {
+		_, err := w.Write(blob)
+		return err
+	})
 }

@@ -63,6 +63,11 @@ func (s *Store) Compact(opts Options) (*CompactResult, error) {
 	if err := s.dropSegments(oldNames); err != nil {
 		return nil, err
 	}
+	s.mu.Lock()
+	for name := range oldNames {
+		delete(s.segs, name)
+	}
+	s.mu.Unlock()
 	for name := range oldNames {
 		os.Remove(filepath.Join(s.dir, name))
 	}

@@ -525,7 +525,7 @@ func TestManifestOrderAfterReopen(t *testing.T) {
 		name string
 		want int
 	}{{"seg-000000.seg", 0}, {"seg-000042.seg", 42}, {"seg-123456.seg", 123456}, {"other.seg", -1}, {"seg-xyz.seg", -1}} {
-		if got := segmentSeq(tc.name); got != tc.want {
+		if got := TraceKind.segmentSeq(tc.name); got != tc.want {
 			t.Errorf("segmentSeq(%q) = %d, want %d", tc.name, got, tc.want)
 		}
 	}

@@ -16,29 +16,33 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
-// On-disk constants. The magic strings are 8 bytes so both ends of a
-// segment are self-identifying; bumping the format bumps the digit.
-const (
-	segMagic     = "SSEGv01\x00" // first 8 bytes of every segment file
-	trailerMagic = "SSEGFTR1"    // last 8 bytes of every sealed segment
-	trailerSize  = 4 + 8 + 8     // footer CRC32 + footer length + magic
-
-	manifestName    = "manifest.json"
-	manifestVersion = 1
-
-	// DefaultBlockBytes is the raw (uncompressed) payload target per
-	// compressed block — the unit of streaming reads, and therefore the
-	// reader's peak decode buffer.
-	DefaultBlockBytes = 256 << 10
-	// DefaultSegmentBytes is the compressed-byte target at which a writer
-	// seals its segment and rolls to a new one (the issue's 4–32 MiB
-	// window; small enough to bound per-segment dictionaries, large
-	// enough that footer overhead vanishes).
-	DefaultSegmentBytes = 8 << 20
-)
+// TraceKind is the trace corpus's store kind. The magic strings are 8
+// bytes so both ends of a segment are self-identifying; bumping the format
+// bumps the digit.
+var TraceKind = &Kind{
+	Label:        "corpus",
+	SegMagic:     "SSEGv01\x00",
+	TrailerMagic: "SSEGFTR1",
+	Prefix:       "seg-",
+	Suffix:       ".seg",
+	Manifest:     "manifest.json",
+	Version:      1,
+	// A block's raw payload target is the unit of streaming reads, and
+	// therefore the reader's peak decode buffer.
+	BlockBytes: 256 << 10,
+	// The compressed roll size is small enough to bound per-segment
+	// dictionaries and large enough that footer overhead vanishes.
+	SegmentBytes:   8 << 20,
+	SegmentsMetric: obs.MetricCorpusSegmentsSealed,
+	BytesMetric:    obs.MetricCorpusBytesWritten,
+	Counts: func(c SegmentInfo) string {
+		return fmt.Sprintf("%d runs, %d records", c.Runs, c.Records)
+	},
+}
 
 // dict interns the strings a segment's records repeat on every event:
 // instrumentation locations and variable names. IDs are dense and assigned
@@ -274,20 +278,4 @@ func (f *segFooter) locations() ([]trace.Location, error) {
 		locs[i] = trace.Location{Func: l.F, Kind: kind}
 	}
 	return locs, nil
-}
-
-// SegmentInfo is one sealed segment's manifest entry.
-type SegmentInfo struct {
-	Name    string `json:"name"`
-	Runs    int    `json:"runs"`
-	Records int    `json:"records"`
-	Bytes   int64  `json:"bytes"`
-}
-
-// manifest is the corpus-level index: the program the store belongs to and
-// the sealed segments in seal order (the store's canonical run order).
-type manifest struct {
-	Version  int           `json:"version"`
-	Program  string        `json:"program"`
-	Segments []SegmentInfo `json:"segments"`
 }

@@ -1,7 +1,6 @@
 package corpus
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -14,8 +13,8 @@ import (
 // segment is an opened, footer-validated segment: the index is in memory,
 // the blocks stay on disk until asked for.
 type segment struct {
-	info   SegmentInfo
 	path   string
+	size   int64
 	footer segFooter
 	locs   []trace.Location
 }
@@ -24,18 +23,14 @@ type segment struct {
 // payloads are not touched; a torn (truncated or corrupted-at-the-end)
 // segment fails here with a descriptive error.
 func openSegment(path string) (*segment, error) {
-	blob, size, err := ReadFooterBlob(path, segMagic, trailerMagic)
-	if err != nil {
-		return nil, fmt.Errorf("corpus: %w", err)
-	}
 	seg := &segment{path: path}
-	if err := json.Unmarshal(blob, &seg.footer); err != nil {
-		return nil, fmt.Errorf("corpus: %s: bad footer: %w", path, err)
+	var err error
+	if seg.size, err = TraceKind.ReadFooter(path, &seg.footer); err != nil {
+		return nil, err
 	}
 	if seg.locs, err = seg.footer.locations(); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	seg.info = SegmentInfo{Name: filepath.Base(path), Runs: seg.footer.Runs, Records: seg.footer.Records, Bytes: size}
 	return seg, nil
 }
 

@@ -1,23 +1,26 @@
 package corpus
 
-// The generic framed-block segment layer. The trace corpus above and the
-// persistent solver-cache store (internal/solver/persist) share the same
-// durability machinery: a magic-tagged segment file accumulates CRC'd gzip
-// blocks, ends with a JSON footer blob plus a fixed-size trailer (footer
-// CRC32, footer length, trailer magic), and becomes visible only when the
-// finished temp file is fsynced and renamed into place. Everything in this
-// file is format-agnostic — record encoding, dictionaries, and footer
-// schemas stay with each store.
+// The generic framed-block segment layer, below the shared store layer
+// (store.go). Every store kind's segments use the same framing: a
+// magic-tagged segment file accumulates CRC'd gzip blocks, ends with a
+// JSON footer blob plus a fixed-size trailer (footer CRC32, footer length,
+// trailer magic), and becomes visible only when the finished temp file is
+// fsynced and renamed into place. Everything in this file is
+// format-agnostic — record encoding, dictionaries, and footer schemas stay
+// with each kind.
 
 import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+
+	"repro/internal/durable"
 )
 
 // TrailerSize is the fixed byte length of a segment trailer: CRC32 of the
@@ -35,13 +38,11 @@ type BlockFrame struct {
 
 // SegmentFile is an in-progress segment: a temp file that accumulates
 // framed blocks and becomes durable (and visible under its final name)
-// only at Seal. A crash at any earlier point leaves an invisible *.tmp-
+// only at Seal. A crash at any earlier point leaves an invisible *.tmp-*
 // file and nothing else.
 type SegmentFile struct {
-	f         *os.File
-	dir       string
-	finalName string
-	written   int64
+	f       *durable.File
+	written int64
 
 	zbuf bytes.Buffer
 	gz   *gzip.Writer
@@ -50,16 +51,15 @@ type SegmentFile struct {
 // CreateSegmentFile opens a new temp-backed segment in dir and writes the
 // magic. finalName is the name the file takes at Seal.
 func CreateSegmentFile(dir, finalName, magic string) (*SegmentFile, error) {
-	f, err := os.CreateTemp(dir, finalName+".tmp-*")
+	f, err := durable.Create(filepath.Join(dir, finalName))
 	if err != nil {
 		return nil, err
 	}
-	if _, err := f.Write([]byte(magic)); err != nil {
-		f.Close()
-		os.Remove(f.Name())
+	if _, err := f.WriteString(magic); err != nil {
+		f.Abort()
 		return nil, err
 	}
-	return &SegmentFile{f: f, dir: dir, finalName: finalName, written: int64(len(magic))}, nil
+	return &SegmentFile{f: f, written: int64(len(magic))}, nil
 }
 
 // Written returns the bytes written so far (magic + frames).
@@ -98,40 +98,26 @@ func (s *SegmentFile) AppendBlock(raw []byte) (BlockFrame, error) {
 	return frame, nil
 }
 
-// Seal writes the footer blob and trailer, fsyncs, and renames the temp
-// file to its final name (then fsyncs the directory so the rename is
-// durable). It returns the sealed file's total size. The SegmentFile is
-// spent afterwards.
+// Seal writes the footer blob and trailer and commits the file: fsync,
+// rename to its final name, fsync the directory. It returns the sealed
+// file's total size. The SegmentFile is spent afterwards.
 func (s *SegmentFile) Seal(footer []byte, trailerMagic string) (int64, error) {
 	trailer := make([]byte, 0, TrailerSize)
 	trailer = binary.LittleEndian.AppendUint32(trailer, crc32.ChecksumIEEE(footer))
 	trailer = binary.LittleEndian.AppendUint64(trailer, uint64(len(footer)))
 	trailer = append(trailer, trailerMagic...)
-	if _, err := s.f.Write(footer); err != nil {
-		s.Abort()
-		return 0, err
+	f := s.f
+	s.f = nil
+	_, err := f.Write(footer)
+	if err == nil {
+		_, err = f.Write(trailer)
 	}
-	if _, err := s.f.Write(trailer); err != nil {
-		s.Abort()
+	if err != nil {
+		f.Abort()
 		return 0, err
 	}
 	s.written += int64(len(footer) + len(trailer))
-	if err := s.f.Sync(); err != nil {
-		s.Abort()
-		return 0, err
-	}
-	tmpPath := s.f.Name()
-	if err := s.f.Close(); err != nil {
-		os.Remove(tmpPath)
-		s.f = nil
-		return 0, err
-	}
-	s.f = nil
-	if err := os.Rename(tmpPath, filepath.Join(s.dir, s.finalName)); err != nil {
-		os.Remove(tmpPath)
-		return 0, err
-	}
-	if err := syncDir(s.dir); err != nil {
+	if err := f.Commit(); err != nil {
 		return 0, err
 	}
 	return s.written, nil
@@ -140,58 +126,64 @@ func (s *SegmentFile) Seal(footer []byte, trailerMagic string) (int64, error) {
 // Abort discards the temp file. Safe to call after Seal (no-op).
 func (s *SegmentFile) Abort() {
 	if s.f != nil {
-		tmpPath := s.f.Name()
-		s.f.Close()
-		os.Remove(tmpPath)
+		s.f.Abort()
 		s.f = nil
 	}
 }
 
-// ReadFooterBlob validates a sealed segment's magic and trailer and returns
-// the CRC-checked footer blob plus the file size. A torn (truncated or
-// unsealed) segment fails here with a descriptive error; block payloads are
-// not touched.
-func ReadFooterBlob(path, magic, trailerMagic string) ([]byte, int64, error) {
+// ReadFooter validates a sealed segment of the kind — magic, trailer,
+// footer CRC — and decodes its JSON footer into footer, returning the file
+// size. A torn (truncated or unsealed) segment fails here with a
+// descriptive error; block payloads are not touched.
+func (k *Kind) ReadFooter(path string, footer any) (size int64, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("%s: %w", k.Label, err)
+		}
+	}()
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	size := st.Size()
-	if size < int64(len(magic))+TrailerSize {
-		return nil, size, fmt.Errorf("%s: truncated segment (%d bytes)", path, size)
+	size = st.Size()
+	if size < int64(len(k.SegMagic))+TrailerSize {
+		return size, fmt.Errorf("%s: truncated segment (%d bytes)", path, size)
 	}
-	got := make([]byte, len(magic))
+	got := make([]byte, len(k.SegMagic))
 	if _, err := f.ReadAt(got, 0); err != nil {
-		return nil, size, err
+		return size, err
 	}
-	if string(got) != magic {
-		return nil, size, fmt.Errorf("%s: bad segment magic", path)
+	if string(got) != k.SegMagic {
+		return size, fmt.Errorf("%s: bad segment magic", path)
 	}
 	trailer := make([]byte, TrailerSize)
 	if _, err := f.ReadAt(trailer, size-TrailerSize); err != nil {
-		return nil, size, err
+		return size, err
 	}
-	if string(trailer[12:]) != trailerMagic {
-		return nil, size, fmt.Errorf("%s: missing trailer magic (torn or unsealed segment)", path)
+	if string(trailer[12:]) != k.TrailerMagic {
+		return size, fmt.Errorf("%s: missing trailer magic (torn or unsealed segment)", path)
 	}
 	footerCRC := binary.LittleEndian.Uint32(trailer[0:4])
 	footerLen := binary.LittleEndian.Uint64(trailer[4:12])
-	if footerLen > uint64(size)-uint64(len(magic))-TrailerSize {
-		return nil, size, fmt.Errorf("%s: footer length %d exceeds file size %d", path, footerLen, size)
+	if footerLen > uint64(size)-uint64(len(k.SegMagic))-TrailerSize {
+		return size, fmt.Errorf("%s: footer length %d exceeds file size %d", path, footerLen, size)
 	}
 	blob := make([]byte, footerLen)
 	if _, err := f.ReadAt(blob, size-TrailerSize-int64(footerLen)); err != nil {
-		return nil, size, err
+		return size, err
 	}
 	if crc := crc32.ChecksumIEEE(blob); crc != footerCRC {
-		return nil, size, fmt.Errorf("%s: footer checksum mismatch (%#x != %#x)", path, crc, footerCRC)
+		return size, fmt.Errorf("%s: footer checksum mismatch (%#x != %#x)", path, crc, footerCRC)
 	}
-	return blob, size, nil
+	if err := json.Unmarshal(blob, footer); err != nil {
+		return size, fmt.Errorf("%s: bad footer: %w", path, err)
+	}
+	return size, nil
 }
 
 // ReadFramedBlock reads, checksums, and decompresses one block into raw
@@ -255,35 +247,6 @@ func ReadFramedBlock(f *os.File, b BlockFrame, raw []byte) ([]byte, error) {
 // recompute expected next-block offsets.
 func FrameHeaderLen(b BlockFrame) int {
 	return uvarintLen(uint64(b.RawLen)) + uvarintLen(uint64(b.CompLen)) + uvarintLen(uint64(b.CRC))
-}
-
-// WriteFileAtomic durably replaces dir/name: write to a temp file in the
-// same directory, fsync, rename into place, fsync the directory. Readers
-// never observe a partial file.
-func WriteFileAtomic(dir, name string, blob []byte) error {
-	tmp, err := os.CreateTemp(dir, name+".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(blob); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return syncDir(dir)
 }
 
 // ByteReader is a bounds-checked cursor over a decoded block. Every read

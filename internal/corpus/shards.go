@@ -3,11 +3,13 @@ package corpus
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/durable"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -24,8 +26,9 @@ const (
 )
 
 // shardsManifest is the on-disk root of a sharded corpus: the program and
-// the fixed shard fan-out. Written once at create time via temp+fsync+
-// rename; the per-shard stores carry their own crash-safe manifests.
+// the fixed shard fan-out. Written once at create time through
+// durable.WriteFile; the per-shard stores carry their own crash-safe
+// manifests.
 type shardsManifest struct {
 	Version int    `json:"version"`
 	Program string `json:"program"`
@@ -81,25 +84,11 @@ func CreateSharded(dir, program string, shards int) (*Sharded, error) {
 	if err != nil {
 		return nil, err
 	}
-	tmp := filepath.Join(dir, shardsManifestName+".tmp")
-	f, err := os.Create(tmp)
+	err = durable.WriteFile(filepath.Join(dir, shardsManifestName), func(w io.Writer) error {
+		_, err := w.Write(append(blob, '\n'))
+		return err
+	})
 	if err != nil {
-		return nil, err
-	}
-	if _, err := f.Write(append(blob, '\n')); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, filepath.Join(dir, shardsManifestName))
-	}
-	if err == nil {
-		err = syncDir(dir)
-	}
-	if err != nil {
-		os.Remove(tmp)
 		return nil, err
 	}
 	return OpenSharded(dir)
@@ -235,7 +224,8 @@ func (s *Sharded) Materialize() (*trace.Corpus, error) {
 
 // Verify deep-checks every shard store and flattens the findings.
 func (s *Sharded) Verify() (problems []string, summary string, err error) {
-	blocks, runs, bytes := 0, 0, int64(0)
+	var tot SegmentInfo
+	blocks := 0
 	for i, st := range s.stores {
 		rep, err := st.Verify()
 		if err != nil {
@@ -245,13 +235,12 @@ func (s *Sharded) Verify() (problems []string, summary string, err error) {
 			problems = append(problems, fmt.Sprintf("shard %d: %s", i, p))
 		}
 		for _, seg := range rep.Segments {
+			tot.add(seg.SegmentInfo)
 			blocks += seg.Blocks
-			runs += seg.Runs
-			bytes += seg.Bytes
 		}
 	}
 	summary = fmt.Sprintf("sharded corpus — %d shards, %d blocks, %d runs, %d bytes, %d problems",
-		len(s.stores), blocks, runs, bytes, len(problems))
+		len(s.stores), blocks, tot.Runs, tot.Bytes, len(problems))
 	return problems, summary, nil
 }
 

@@ -1,70 +1,6 @@
 package corpus
 
-import (
-	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
-)
-
-// SegmentReport is the outcome of validating one segment file.
-type SegmentReport struct {
-	Name     string
-	Runs     int
-	Records  int
-	Blocks   int
-	Bytes    int64
-	Problems []string
-}
-
-// OK reports whether the segment validated cleanly.
-func (r *SegmentReport) OK() bool { return len(r.Problems) == 0 }
-
-// VerifyReport aggregates a whole-store validation.
-type VerifyReport struct {
-	Segments []SegmentReport
-	// Problems are store-level findings (manifest inconsistencies, stray
-	// temp files); per-segment findings live on the segment reports.
-	Problems []string
-}
-
-// OK reports whether the store validated cleanly.
-func (r *VerifyReport) OK() bool {
-	if len(r.Problems) > 0 {
-		return false
-	}
-	for i := range r.Segments {
-		if !r.Segments[i].OK() {
-			return false
-		}
-	}
-	return true
-}
-
-// Summary renders a one-line validation summary.
-func (r *VerifyReport) Summary() string {
-	runs, records, blocks, problems := 0, 0, 0, len(r.Problems)
-	for i := range r.Segments {
-		s := &r.Segments[i]
-		runs += s.Runs
-		records += s.Records
-		blocks += s.Blocks
-		problems += len(s.Problems)
-	}
-	return fmt.Sprintf("%d segments, %d blocks, %d runs, %d records, %d problems",
-		len(r.Segments), blocks, runs, records, problems)
-}
-
-// AllProblems flattens store- and segment-level findings.
-func (r *VerifyReport) AllProblems() []string {
-	out := append([]string(nil), r.Problems...)
-	for i := range r.Segments {
-		for _, p := range r.Segments[i].Problems {
-			out = append(out, r.Segments[i].Name+": "+p)
-		}
-	}
-	return out
-}
+import "path/filepath"
 
 // VerifySegmentFile fully validates one segment: magic, trailer, footer
 // checksum, every block's frame header, payload CRC, decompressed length,
@@ -73,108 +9,45 @@ func (r *VerifyReport) AllProblems() []string {
 // bit-flipped segment comes back with Problems (or an open error when even
 // the footer is unreadable).
 func VerifySegmentFile(path string) (*SegmentReport, error) {
-	rep := &SegmentReport{Name: filepath.Base(path)}
+	rep := &SegmentReport{SegmentInfo: SegmentInfo{Name: filepath.Base(path)}}
 	seg, err := openSegment(path)
 	if err != nil {
 		return rep, err
 	}
-	rep.Bytes = seg.info.Bytes
+	rep.Bytes = seg.size
 	rep.Blocks = len(seg.footer.Blocks)
-	flag := func(format string, args ...any) {
-		if len(rep.Problems) < 20 {
-			rep.Problems = append(rep.Problems, fmt.Sprintf(format, args...))
-		}
-	}
-
-	f, err := os.Open(path)
-	if err != nil {
-		return rep, err
-	}
-	defer f.Close()
-
-	var raw []byte
-	runs, records := 0, 0
-	nextOffset := int64(len(segMagic))
+	frames := make([]BlockFrame, len(seg.footer.Blocks))
 	nextFirst := 0
 	for bi, b := range seg.footer.Blocks {
-		if b.Offset != nextOffset {
-			flag("block %d: offset %d, want contiguous %d", bi, b.Offset, nextOffset)
-		}
+		frames[bi] = b.frame()
 		if b.FirstRun != nextFirst {
-			flag("block %d: first run %d, want %d", bi, b.FirstRun, nextFirst)
+			rep.Flag("block %d: first run %d, want %d", bi, b.FirstRun, nextFirst)
 		}
 		nextFirst = b.FirstRun + b.Runs
-		raw, err = readBlock(f, b, raw)
+	}
+	err = TraceKind.CheckBlocks(path, frames, rep, func(bi int, raw []byte) {
+		decoded, err := decodeBlock(raw, seg, seg.footer.Blocks[bi].Runs, nil)
 		if err != nil {
-			flag("block %d: %v", bi, err)
-			break // offsets downstream are unreliable after a bad block
+			rep.Flag("block %d: %v", bi, err)
+			return
 		}
-		// Frame header length varies with the varint widths; recompute it.
-		nextOffset = b.Offset + int64(FrameHeaderLen(b.frame())) + int64(b.CompLen)
-		decoded, derr := decodeBlock(raw, seg, b.Runs, nil)
-		if derr != nil {
-			flag("block %d: %v", bi, derr)
-			continue
-		}
-		runs += len(decoded)
+		rep.Runs += len(decoded)
 		for _, run := range decoded {
-			records += len(run.Records)
+			rep.Records += len(run.Records)
 		}
+	})
+	if err != nil {
+		return rep, err
 	}
-	rep.Runs, rep.Records = runs, records
-	if runs != seg.footer.Runs {
-		flag("decoded %d runs, footer declares %d", runs, seg.footer.Runs)
+	if rep.Runs != seg.footer.Runs {
+		rep.Flag("decoded %d runs, footer declares %d", rep.Runs, seg.footer.Runs)
 	}
-	if records != seg.footer.Records {
-		flag("decoded %d records, footer declares %d", records, seg.footer.Records)
+	if rep.Records != seg.footer.Records {
+		rep.Flag("decoded %d records, footer declares %d", rep.Records, seg.footer.Records)
 	}
 	return rep, nil
 }
 
-// Verify validates the whole store: every manifest segment must open,
-// checksum, and decode cleanly and agree with its manifest entry; stray
-// temp files and unmanifested segments are reported as store-level
-// problems. The error return is reserved for I/O failures on the store
-// directory itself — corruption is reported, not returned.
-func (s *Store) Verify() (*VerifyReport, error) {
-	rep := &VerifyReport{}
-	flag := func(format string, args ...any) {
-		if len(rep.Problems) < 20 {
-			rep.Problems = append(rep.Problems, fmt.Sprintf(format, args...))
-		}
-	}
-	manifested := make(map[string]bool)
-	for _, info := range s.Segments() {
-		manifested[info.Name] = true
-		segRep, err := VerifySegmentFile(filepath.Join(s.dir, info.Name))
-		if err != nil {
-			segRep.Problems = append(segRep.Problems, err.Error())
-		}
-		if err == nil {
-			if segRep.Runs != info.Runs {
-				segRep.Problems = append(segRep.Problems,
-					fmt.Sprintf("manifest declares %d runs, segment holds %d", info.Runs, segRep.Runs))
-			}
-			if segRep.Bytes != info.Bytes {
-				segRep.Problems = append(segRep.Problems,
-					fmt.Sprintf("manifest declares %d bytes, file is %d", info.Bytes, segRep.Bytes))
-			}
-		}
-		rep.Segments = append(rep.Segments, *segRep)
-	}
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return rep, err
-	}
-	for _, e := range entries {
-		name := e.Name()
-		switch {
-		case name == manifestName || e.IsDir():
-		case strings.Contains(name, ".tmp-"):
-			flag("stray temp file %s (crashed writer; safe to delete)", name)
-		case strings.HasSuffix(name, ".seg") && !manifested[name]:
-			flag("segment %s on disk but not in manifest", name)
-		}
-	}
-	return rep, nil
-}
+// Verify validates the whole store (see SegmentStore.VerifyWith) with the
+// trace segment check.
+func (s *Store) Verify() (*VerifyReport, error) { return s.VerifyWith(VerifySegmentFile) }

@@ -66,7 +66,7 @@ func BalancedCorpusStoreCtx(ctx context.Context, prog *bytecode.Program, gen fun
 			if err := w.Close(); err != nil {
 				return nil, err
 			}
-			return []obs.Attr{obs.A("sealed_bytes", w.SealedBytes())}, nil
+			return []obs.Attr{obs.A("sealed_bytes", w.Sealed().Bytes)}, nil
 		},
 		discard: w.Abort,
 	})

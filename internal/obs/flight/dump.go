@@ -5,11 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/obs"
 )
 
@@ -88,13 +87,13 @@ func (r *Recorder) WriteTo(w io.Writer, reason string) error {
 	return bw.Flush()
 }
 
-// DumpFile writes the dump to path via a same-directory temp file renamed
-// into place after a successful sync (the trace.WriteFile discipline), so
-// a crash mid-dump never leaves a truncated artifact under the final
-// name. Only the first DumpFile of a recorder's lifetime writes; later
-// calls (a fault followed by the cancellation that tears the run down,
-// or a panic unwinding through stacked handlers) are no-ops returning
-// nil, so the artifact always reflects the first trigger.
+// DumpFile writes the dump to path through durable.WriteFile (the
+// trace.WriteFile discipline), so a crash mid-dump never leaves a
+// truncated artifact under the final name. Only the first DumpFile of a
+// recorder's lifetime writes; later calls (a fault followed by the
+// cancellation that tears the run down, or a panic unwinding through
+// stacked handlers) are no-ops returning nil, so the artifact always
+// reflects the first trigger.
 func (r *Recorder) DumpFile(path, reason string) error {
 	if r == nil || path == "" {
 		return nil
@@ -102,31 +101,7 @@ func (r *Recorder) DumpFile(path, reason string) error {
 	if !r.dumped.CompareAndSwap(false, true) {
 		return nil
 	}
-	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	cleanup := func() {
-		f.Close()
-		os.Remove(f.Name())
-	}
-	if err := r.WriteTo(f, reason); err != nil {
-		cleanup()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		cleanup()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	if err := os.Rename(f.Name(), path); err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	return nil
+	return durable.WriteFile(path, func(w io.Writer) error { return r.WriteTo(w, reason) })
 }
 
 // knownEventTypes mirrors the obs event vocabulary for validation.

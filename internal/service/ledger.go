@@ -12,6 +12,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/durable"
 )
 
 // The job ledger is the daemon's durable memory: an append-only JSONL
@@ -122,11 +124,7 @@ func (l *Ledger) Append(rec LedgerRecord) error {
 }
 
 func (l *Ledger) append(rec LedgerRecord) error {
-	blob, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	line, err := json.Marshal(ledgerLine{CRC: crc32.ChecksumIEEE(blob), Rec: blob})
+	line, err := encodeLine(rec)
 	if err != nil {
 		return err
 	}
@@ -135,13 +133,24 @@ func (l *Ledger) append(rec LedgerRecord) error {
 	if l.f == nil {
 		return fmt.Errorf("service: ledger %s is closed", l.path)
 	}
-	if _, err := l.w.Write(append(line, '\n')); err != nil {
+	if _, err := l.w.Write(line); err != nil {
 		return err
 	}
 	if err := l.w.Flush(); err != nil {
 		return err
 	}
 	return l.f.Sync()
+}
+
+// encodeLine renders one newline-terminated ledger line: the record and
+// the CRC of its bytes.
+func encodeLine(rec LedgerRecord) ([]byte, error) {
+	blob, err := json.Marshal(rec)
+	if err != nil {
+		return nil, err
+	}
+	line, err := json.Marshal(ledgerLine{CRC: crc32.ChecksumIEEE(blob), Rec: blob})
+	return append(line, '\n'), err
 }
 
 // Close flushes and closes the ledger file.
@@ -162,10 +171,10 @@ func (l *Ledger) Close() error {
 	return err
 }
 
-// Seal compacts the ledger in place via temp+fsync+rename: terminal jobs
-// keep only their final record (plus the spec off their queued record so
-// a sealed ledger still replays), interrupted/queued jobs keep their full
-// history for recovery. Called on graceful drain; a crash skips it and
+// Seal compacts the ledger in place through durable.WriteFile: terminal
+// jobs keep only their final record (plus the spec off their queued record
+// so a sealed ledger still replays), interrupted/queued jobs keep their
+// full history for recovery. Called on graceful drain; a crash skips it and
 // recovery reads the uncompacted file just as well.
 func (l *Ledger) Seal() error {
 	l.mu.Lock()
@@ -201,55 +210,25 @@ func (l *Ledger) Seal() error {
 		}
 		keep = append(keep, h...)
 	}
-	tmp := l.path + ".tmp"
-	tf, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(tf)
-	write := func(rec LedgerRecord) error {
-		blob, err := json.Marshal(rec)
-		if err != nil {
-			return err
+	header := LedgerRecord{Type: LedgerType, Version: LedgerVersion, Time: time.Now().UTC().Format(time.RFC3339Nano)}
+	werr := durable.WriteFile(l.path, func(w io.Writer) error {
+		bw := bufio.NewWriter(w)
+		for _, rec := range append([]LedgerRecord{header}, keep...) {
+			line, err := encodeLine(rec)
+			if err == nil {
+				_, err = bw.Write(line)
+			}
+			if err != nil {
+				return err
+			}
 		}
-		line, err := json.Marshal(ledgerLine{CRC: crc32.ChecksumIEEE(blob), Rec: blob})
-		if err != nil {
-			return err
-		}
-		_, err = bw.Write(append(line, '\n'))
-		return err
-	}
-	werr := write(LedgerRecord{Type: LedgerType, Version: LedgerVersion,
-		Time: time.Now().UTC().Format(time.RFC3339Nano)})
-	for _, rec := range keep {
-		if werr != nil {
-			break
-		}
-		werr = write(rec)
-	}
-	if werr == nil {
-		werr = bw.Flush()
-	}
-	if werr == nil {
-		werr = tf.Sync()
-	}
-	if cerr := tf.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp)
-		return werr
-	}
-	// Swap the live file handle to the compacted ledger.
+		return bw.Flush()
+	})
+	// Swap the live file handle to whatever the path now names. That is
+	// the compacted ledger even when only the final directory fsync
+	// failed, and the flushed old ledger when the write failed.
 	if l.f != nil {
 		l.f.Close()
-	}
-	if err := os.Rename(tmp, l.path); err != nil {
-		return err
-	}
-	if dir, err := os.Open(filepath.Dir(l.path)); err == nil {
-		dir.Sync()
-		dir.Close()
 	}
 	f, err := os.OpenFile(l.path, os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
@@ -258,7 +237,7 @@ func (l *Ledger) Seal() error {
 	}
 	l.f = f
 	l.w = bufio.NewWriter(f)
-	return nil
+	return werr
 }
 
 // readLedger parses the ledger at path. A torn final line (crash mid

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -9,9 +10,10 @@ import (
 	"repro/internal/solver"
 )
 
-// Entry is one persisted solver verdict: the conjunction's identity (digest
-// + bounds signature), its origin function's content hash, the canonical
-// constraint multiset, and the verdict with its model (Sat only).
+// A persisted solver verdict is a solver.CacheEntry: the conjunction's
+// identity (digest + bounds signature), its origin function's content
+// hash, the canonical constraint multiset, and the verdict with its model
+// (Sat only).
 //
 // Record layout (all integers varint unless noted):
 //
@@ -27,14 +29,6 @@ import (
 //	        terms:  uvarint Var, varint Coeff
 //	[model] uvarint assignment count, sorted by Var
 //	        each:   uvarint Var, varint value
-type Entry struct {
-	D      solver.Digest
-	Bsig   uint64
-	Origin uint64
-	Cons   []solver.Constraint
-	Res    solver.Result
-	Model  solver.Model
-}
 
 const (
 	entryFlagSat   = 1 << 0
@@ -43,10 +37,10 @@ const (
 
 // appendEntry encodes one entry onto dst. Only Sat/Unsat verdicts are
 // persistable (Unknown is a budget artifact, filtered upstream).
-func appendEntry(dst []byte, e *Entry) []byte {
-	dst = binary.AppendUvarint(dst, e.D.Sum)
-	dst = binary.AppendUvarint(dst, uint64(e.D.N))
-	dst = binary.AppendUvarint(dst, e.Bsig)
+func appendEntry(dst []byte, e *solver.CacheEntry) []byte {
+	dst = binary.AppendUvarint(dst, e.Digest.Sum)
+	dst = binary.AppendUvarint(dst, uint64(e.Digest.N))
+	dst = binary.AppendUvarint(dst, e.BSig)
 	dst = binary.AppendUvarint(dst, e.Origin)
 	var flags byte
 	if e.Res == solver.Sat {
@@ -83,8 +77,8 @@ func appendEntry(dst []byte, e *Entry) []byte {
 
 // decodeEntry decodes one entry. Counts are sanity-bounded by the remaining
 // bytes so corrupt headers cannot force giant allocations.
-func decodeEntry(r *corpus.ByteReader) (Entry, error) {
-	var e Entry
+func decodeEntry(r *corpus.ByteReader) (solver.CacheEntry, error) {
+	var e solver.CacheEntry
 	sum, err := r.Uvarint()
 	if err != nil {
 		return e, err
@@ -93,8 +87,8 @@ func decodeEntry(r *corpus.ByteReader) (Entry, error) {
 	if err != nil {
 		return e, err
 	}
-	e.D = solver.Digest{Sum: sum, N: int(n)}
-	if e.Bsig, err = r.Uvarint(); err != nil {
+	e.Digest = solver.Digest{Sum: sum, N: int(n)}
+	if e.BSig, err = r.Uvarint(); err != nil {
 		return e, err
 	}
 	if e.Origin, err = r.Uvarint(); err != nil {
@@ -180,7 +174,7 @@ func decodeEntry(r *corpus.ByteReader) (Entry, error) {
 	return e, nil
 }
 
-// Verify re-derives the entry's identity from its own payload — the
+// checkEntry re-derives an entry's identity from its own payload — the
 // verified-on-load contract. The stored digest must equal the digest of the
 // stored conjunction, and a Sat entry's model must satisfy every stored
 // constraint. An entry that fails is rejected (never seeded), so logic-level
@@ -188,10 +182,10 @@ func decodeEntry(r *corpus.ByteReader) (Entry, error) {
 // correctness. A fabricated Unsat verdict over a consistent conjunction is
 // not detectable without solving; the store is trusted to the same degree
 // as every other local artifact.
-func (e *Entry) Verify() error {
-	if d := solver.DigestOf(e.Cons); d != e.D {
+func checkEntry(e *solver.CacheEntry) error {
+	if d := solver.DigestOf(e.Cons); d != e.Digest {
 		return fmt.Errorf("stored digest %x/%d does not match conjunction digest %x/%d",
-			e.D.Sum, e.D.N, d.Sum, d.N)
+			e.Digest.Sum, e.Digest.N, d.Sum, d.N)
 	}
 	if e.Res == solver.Sat {
 		for i, c := range e.Cons {
@@ -203,19 +197,16 @@ func (e *Entry) Verify() error {
 	return nil
 }
 
-// sortEntries orders entries by (digest sum, N, bounds signature) — the
-// canonical within-block order the verifier checks.
-func sortEntries(entries []Entry) {
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := &entries[i], &entries[j]
-		if a.D.Sum != b.D.Sum {
-			return a.D.Sum < b.D.Sum
-		}
-		if a.D.N != b.D.N {
-			return a.D.N < b.D.N
-		}
-		return a.Bsig < b.Bsig
-	})
+// digestLess reports a < b under the canonical (digest sum, N, bounds
+// signature) order that every sealed block's entries follow.
+func digestLess(a, b *solver.CacheEntry) bool {
+	if a.Digest.Sum != b.Digest.Sum {
+		return a.Digest.Sum < b.Digest.Sum
+	}
+	if a.Digest.N != b.Digest.N {
+		return a.Digest.N < b.Digest.N
+	}
+	return a.BSig < b.BSig
 }
 
 // blockIndex is one compressed block's footer entry: the generic frame plus
@@ -234,4 +225,67 @@ type segFooter struct {
 	Program string       `json:"program"`
 	Entries int          `json:"entries"`
 	Blocks  []blockIndex `json:"blocks"`
+}
+
+// Writer appends cache entries to a store (see corpus.SegmentWriter).
+type Writer = corpus.SegmentWriter[solver.CacheEntry]
+
+// Options tunes a Writer's block and segment geometry; zero fields take
+// CacheKind's defaults.
+type Options = corpus.Options
+
+// NewWriter returns a Writer appending to the store.
+func (s *Store) NewWriter(opts Options) *Writer {
+	return corpus.NewSegmentWriter[solver.CacheEntry](s.SegmentStore, opts, &entryCodec{})
+}
+
+// entryCodec packs entries into blocks. A block's entries are sorted by
+// digest before encoding, so every sealed block is internally ordered (the
+// verifier's digest-ordering check).
+type entryCodec struct {
+	pending  []solver.CacheEntry // entries of the block being accumulated
+	pendSize int                 // rough encoded size of pending
+	buf      []byte
+	blocks   []blockIndex
+	entries  int // entries in the current segment
+}
+
+func (c *entryCodec) Reset() {
+	c.pending, c.pendSize = c.pending[:0], 0
+	c.blocks, c.entries = nil, 0
+}
+
+func (c *entryCodec) Add(e solver.CacheEntry) int {
+	c.pending = append(c.pending, e)
+	// Cheap size estimate: fixed header + per-constraint + per-term costs.
+	c.pendSize += 40 + len(e.Cons)*16 + len(e.Model)*12
+	for _, con := range e.Cons {
+		c.pendSize += len(con.E.Terms) * 12
+	}
+	return c.pendSize
+}
+
+func (c *entryCodec) Pending() []byte {
+	sort.Slice(c.pending, func(i, j int) bool { return digestLess(&c.pending[i], &c.pending[j]) })
+	c.buf = c.buf[:0]
+	for i := range c.pending {
+		c.buf = appendEntry(c.buf, &c.pending[i])
+	}
+	return c.buf
+}
+
+func (c *entryCodec) Framed(f corpus.BlockFrame) {
+	c.blocks = append(c.blocks, blockIndex{
+		BlockFrame: f,
+		Entries:    len(c.pending),
+		MinSum:     c.pending[0].Digest.Sum,
+		MaxSum:     c.pending[len(c.pending)-1].Digest.Sum,
+	})
+	c.entries += len(c.pending)
+	c.pending, c.pendSize = c.pending[:0], 0
+}
+
+func (c *entryCodec) Footer(program string) ([]byte, corpus.SegmentInfo, error) {
+	blob, err := json.Marshal(&segFooter{Program: program, Entries: c.entries, Blocks: c.blocks})
+	return blob, corpus.SegmentInfo{Entries: c.entries}, err
 }

@@ -4,14 +4,16 @@
 // SharedCache at the start of a later run, so the Nth analysis of a
 // program family re-pays only the solving the first run didn't do.
 //
-// The on-disk machinery is the internal/corpus segment layer: CRC'd gzip
-// blocks with uvarint frame headers, a JSON footer index, and crash-safe
-// temp+fsync+rename sealing — only the record codec and footer schema are
-// this package's own. Entries are keyed by the order-insensitive
-// path-condition digest (solver.Digest) plus the intrinsic-bounds
-// signature, and tagged with the summary.FnHash of the function whose
-// branch issued the query, so a store survives renames and recompiles but
-// sheds exactly the entries whose origin function's body changed.
+// The on-disk machinery is the internal/corpus store layer: the manifest,
+// segment naming, the writer lifecycle (CRC'd gzip blocks, crash-safe
+// temp+fsync+rename sealing) and the verify walk. Only the entry codec,
+// block index, footer schema, entry checks and the manifest's fns and
+// tombstones keys are this package's own. Entries are keyed by the
+// order-insensitive path-condition digest (solver.Digest) plus the
+// intrinsic-bounds signature, and tagged with the summary.FnHash of the
+// function whose branch issued the query, so a store survives renames and
+// recompiles but sheds exactly the entries whose origin function's body
+// changed.
 //
 // Correctness never depends on the store: a loaded entry is served only on
 // an exact, verified match (digest + bounds signature + constraint
@@ -21,14 +23,8 @@
 package persist
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
-	"sync"
 
 	"repro/internal/bytecode"
 	"repro/internal/corpus"
@@ -36,30 +32,31 @@ import (
 	"repro/internal/summary"
 )
 
-// On-disk constants. Distinct magics and names keep solver-cache stores
-// self-identifying next to trace-corpus stores (cmd/tracecheck sniffs on
-// them).
-const (
-	segMagic     = "SQCHv01\x00" // first 8 bytes of every cache segment
-	trailerMagic = "SQCHFTR1"    // last 8 bytes of every sealed segment
+// SegmentSuffix names solver-cache segment files.
+const SegmentSuffix = ".scq"
 
-	// SegmentSuffix names solver-cache segment files.
-	SegmentSuffix = ".scq"
-	// ManifestName is the store's manifest file — deliberately not the
-	// corpus's manifest.json, so a directory identifies its own store kind.
-	ManifestName = "solvercache.json"
-
-	manifestVersion = 1
-
-	// DefaultBlockBytes is the raw payload target per compressed block.
+// CacheKind is the solver cache's store kind. Distinct magics and names
+// keep solver-cache stores self-identifying next to trace-corpus stores
+// (cmd/tracecheck sniffs on them): the manifest is deliberately not the
+// corpus's manifest.json.
+var CacheKind = &corpus.Kind{
+	Label:        "solvercache",
+	SegMagic:     "SQCHv01\x00",
+	TrailerMagic: "SQCHFTR1",
+	Prefix:       "cache-",
+	Suffix:       SegmentSuffix,
+	Manifest:     "solvercache.json",
+	Version:      1,
 	// Cache entries are small; small blocks keep load-time partial reads
-	// cheap.
-	DefaultBlockBytes = 64 << 10
-	// DefaultSegmentBytes is the compressed-size target at which the
-	// writer seals and rolls. Solver caches are far smaller than trace
-	// corpora.
-	DefaultSegmentBytes = 1 << 20
-)
+	// cheap, and solver caches are far smaller than trace corpora.
+	BlockBytes:     64 << 10,
+	SegmentBytes:   1 << 20,
+	SegmentsMetric: obs.MetricPersistSegments,
+	BytesMetric:    obs.MetricPersistBytes,
+	Counts: func(c corpus.SegmentInfo) string {
+		return fmt.Sprintf("%d entries", c.Entries)
+	},
+}
 
 // Fn is one function's identity in the invalidation manifest: its name (for
 // diff reporting and incremental re-analysis) and its content hash
@@ -81,60 +78,30 @@ func FnsOf(prog *bytecode.Program) []Fn {
 	return out
 }
 
-// SegmentInfo is one sealed segment's manifest entry.
-type SegmentInfo struct {
-	Name    string `json:"name"`
-	Entries int    `json:"entries"`
-	Bytes   int64  `json:"bytes"`
-}
-
-// storeManifest is the store-level index: which program the cache belongs
-// to, the function set it was built against, the sealed segments, and any
-// pending origin tombstones.
-type storeManifest struct {
-	Version  int           `json:"version"`
-	Program  string        `json:"program"`
-	Fns      []Fn          `json:"fns,omitempty"`
-	Segments []SegmentInfo `json:"segments,omitempty"`
-	// Tombstones are origin hashes whose entries must be dropped on the
-	// next load — manual invalidation (and the warm-after-edit ablation's
-	// edit simulation). They are cleared once a session has consumed them;
-	// re-spilling from the next run heals the coverage.
+// cacheMeta is the cache's own part of the store manifest: the function
+// set the cached entries were built against, and pending origin
+// tombstones — origin hashes whose entries must be dropped on the next
+// load (manual invalidation, and the warm-after-edit ablation's edit
+// simulation). Tombstones are cleared once a session has consumed them;
+// re-spilling from the next run heals the coverage.
+type cacheMeta struct {
+	Fns        []Fn     `json:"fns,omitempty"`
 	Tombstones []uint64 `json:"tombstones,omitempty"`
 }
 
-// Store is an on-disk solver-cache: a directory holding ManifestName plus
-// sealed SegmentSuffix segments. The mutex guards the manifest and segment
-// name sequence; segments themselves are immutable once sealed.
+// Store is an on-disk solver cache: a CacheKind store of entry segments
+// whose manifest also carries cacheMeta.
 type Store struct {
-	dir string
-
-	// Obs, when set, receives persistence metrics; nil disables them.
-	Obs *obs.Obs
-
-	mu      sync.Mutex
-	man     storeManifest
-	nextSeq int
+	*corpus.SegmentStore
+	meta cacheMeta // guarded by the manifest lock (WithMeta)
 }
 
 // Create initializes (or reopens) a cache store for the named program. An
 // existing store must belong to the same program.
 func Create(dir, program string) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	if _, err := os.Stat(filepath.Join(dir, ManifestName)); err == nil {
-		s, err := Open(dir)
-		if err != nil {
-			return nil, err
-		}
-		if s.Program() != program {
-			return nil, fmt.Errorf("solvercache: store %s belongs to %q, not %q", dir, s.Program(), program)
-		}
-		return s, nil
-	}
-	s := &Store{dir: dir, man: storeManifest{Version: manifestVersion, Program: program}}
-	if err := s.writeManifestLocked(); err != nil {
+	s := &Store{}
+	var err error
+	if s.SegmentStore, err = corpus.CreateStore(CacheKind, dir, program, &s.meta); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -142,152 +109,63 @@ func Create(dir, program string) (*Store, error) {
 
 // Open loads an existing store's manifest.
 func Open(dir string) (*Store, error) {
-	blob, err := os.ReadFile(filepath.Join(dir, ManifestName))
-	if err != nil {
-		return nil, fmt.Errorf("solvercache: %s: %w", dir, err)
-	}
-	s := &Store{dir: dir}
-	if err := json.Unmarshal(blob, &s.man); err != nil {
-		return nil, fmt.Errorf("solvercache: %s: bad manifest: %w", dir, err)
-	}
-	if s.man.Version != manifestVersion {
-		return nil, fmt.Errorf("solvercache: %s: manifest version %d, want %d", dir, s.man.Version, manifestVersion)
-	}
-	for _, seg := range s.man.Segments {
-		if seq := segmentSeq(seg.Name); seq >= s.nextSeq {
-			s.nextSeq = seq + 1
-		}
+	s := &Store{}
+	var err error
+	if s.SegmentStore, err = corpus.OpenStore(CacheKind, dir, &s.meta); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
-// IsStoreDir reports whether dir looks like a solver-cache store (it holds
-// a ManifestName file) — the sniff cmd/tracecheck uses to route a
-// directory argument here rather than to the trace corpus.
-func IsStoreDir(dir string) bool {
-	st, err := os.Stat(filepath.Join(dir, ManifestName))
-	return err == nil && !st.IsDir()
-}
-
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
-// Program returns the program the cache belongs to.
-func (s *Store) Program() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.man.Program
-}
-
 // Fns returns the manifest's function set (the program version the cached
 // entries were built against).
-func (s *Store) Fns() []Fn {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Fn(nil), s.man.Fns...)
+func (s *Store) Fns() (fns []Fn) {
+	_ = s.WithMeta(func() bool { // reads only: nothing to write, no error
+		fns = append(fns, s.meta.Fns...)
+		return false
+	})
+	return fns
 }
 
 // SetFns records the current program's function set and persists the
 // manifest — called at session close, after the run's entries (attributed
 // to these functions) have been sealed.
 func (s *Store) SetFns(fns []Fn) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.man.Fns = append([]Fn(nil), fns...)
-	return s.writeManifestLocked()
-}
-
-// Segments returns a snapshot of the sealed segments in seal order.
-func (s *Store) Segments() []SegmentInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]SegmentInfo(nil), s.man.Segments...)
+	return s.WithMeta(func() bool {
+		s.meta.Fns = append([]Fn(nil), fns...)
+		return true
+	})
 }
 
 // TotalEntries returns the manifest's entry count across sealed segments.
-func (s *Store) TotalEntries() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, seg := range s.man.Segments {
-		n += seg.Entries
-	}
-	return n
-}
+func (s *Store) TotalEntries() int { return s.Totals().Entries }
 
 // Tombstones returns the pending origin tombstones.
-func (s *Store) Tombstones() []uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]uint64(nil), s.man.Tombstones...)
+func (s *Store) Tombstones() (ts []uint64) {
+	_ = s.WithMeta(func() bool { // reads only: nothing to write, no error
+		ts = append(ts, s.meta.Tombstones...)
+		return false
+	})
+	return ts
 }
 
 // AddTombstones marks origin hashes for invalidation on the next load and
 // persists the manifest.
 func (s *Store) AddTombstones(origins ...uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.man.Tombstones = append(s.man.Tombstones, origins...)
-	return s.writeManifestLocked()
+	return s.WithMeta(func() bool {
+		s.meta.Tombstones = append(s.meta.Tombstones, origins...)
+		return true
+	})
 }
 
 // ClearTombstones removes all pending tombstones (they have been consumed
 // by a load) and persists the manifest.
 func (s *Store) ClearTombstones() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.man.Tombstones) == 0 {
-		return nil
-	}
-	s.man.Tombstones = nil
-	return s.writeManifestLocked()
-}
-
-// segmentSeq parses the numeric sequence out of "cache-000042.scq" (-1 when
-// the name is foreign).
-func segmentSeq(name string) int {
-	if !strings.HasPrefix(name, "cache-") || !strings.HasSuffix(name, SegmentSuffix) {
-		return -1
-	}
-	n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "cache-"), SegmentSuffix))
-	if err != nil {
-		return -1
-	}
-	return n
-}
-
-func (s *Store) allocSegmentName() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	name := fmt.Sprintf("cache-%06d%s", s.nextSeq, SegmentSuffix)
-	s.nextSeq++
-	return name
-}
-
-// registerSegment appends a sealed segment to the manifest and persists it.
-func (s *Store) registerSegment(info SegmentInfo) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.man.Segments = append(s.man.Segments, info)
-	return s.writeManifestLocked()
-}
-
-func (s *Store) writeManifestLocked() error {
-	sort.SliceStable(s.man.Segments, func(i, j int) bool {
-		si, sj := segmentSeq(s.man.Segments[i].Name), segmentSeq(s.man.Segments[j].Name)
-		if si != sj {
-			if si < 0 || sj < 0 {
-				return sj < 0 && si >= 0
-			}
-			return si < sj
-		}
-		return s.man.Segments[i].Name < s.man.Segments[j].Name
+	return s.WithMeta(func() bool {
+		had := len(s.meta.Tombstones) > 0
+		s.meta.Tombstones = nil
+		return had
 	})
-	blob, err := json.MarshalIndent(&s.man, "", "  ")
-	if err != nil {
-		return err
-	}
-	return corpus.WriteFileAtomic(s.dir, ManifestName, append(blob, '\n'))
 }
 
 // FnDiff is the outcome of comparing a store's manifest function set with

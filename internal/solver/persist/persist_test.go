@@ -13,14 +13,14 @@ import (
 // testEntry builds a distinct, self-consistent entry: x_i - i <= 0 with the
 // satisfying model {x_i: i}. Origin cycles over a small set so tombstone and
 // invalidation tests have something to drop.
-func testEntry(i int) Entry {
+func testEntry(i int) solver.CacheEntry {
 	cons := []solver.Constraint{
 		{E: solver.LinExpr{Terms: []solver.Term{{Coeff: 1, Var: solver.Var(i)}}, Const: -int64(i)}, Op: solver.OpLe},
 		{E: solver.LinExpr{Terms: []solver.Term{{Coeff: 1, Var: solver.Var(i)}}, Const: int64(-i)}, Op: solver.OpEq},
 	}
-	return Entry{
-		D:      solver.DigestOf(cons),
-		Bsig:   uint64(1000 + i%7),
+	return solver.CacheEntry{
+		Digest: solver.DigestOf(cons),
+		BSig:   uint64(1000 + i%7),
 		Origin: uint64(100 + i%3),
 		Cons:   cons,
 		Res:    solver.Sat,
@@ -32,7 +32,7 @@ func writeEntries(t *testing.T, s *Store, n int) {
 	t.Helper()
 	w := s.NewWriter(Options{})
 	for i := 0; i < n; i++ {
-		if err := w.Add(testEntry(i)); err != nil {
+		if err := w.Append(testEntry(i)); err != nil {
 			t.Fatalf("Add(%d): %v", i, err)
 		}
 	}
@@ -60,8 +60,8 @@ func TestRoundtrip(t *testing.T) {
 	if s2.Program() != "prog" {
 		t.Fatalf("Program = %q", s2.Program())
 	}
-	seen := map[solver.Digest]Entry{}
-	stats, err := s2.Load(nil, func(e Entry) { seen[e.D] = e })
+	seen := map[solver.Digest]solver.CacheEntry{}
+	stats, err := s2.Load(nil, func(e solver.CacheEntry) { seen[e.Digest] = e })
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -70,11 +70,11 @@ func TestRoundtrip(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		want := testEntry(i)
-		got, ok := seen[want.D]
+		got, ok := seen[want.Digest]
 		if !ok {
 			t.Fatalf("entry %d missing after load", i)
 		}
-		if got.Bsig != want.Bsig || got.Origin != want.Origin || got.Res != want.Res ||
+		if got.BSig != want.BSig || got.Origin != want.Origin || got.Res != want.Res ||
 			len(got.Cons) != len(want.Cons) || got.Model[solver.Var(i)] != int64(i) {
 			t.Fatalf("entry %d mismatch: got %+v want %+v", i, got, want)
 		}
@@ -91,7 +91,7 @@ func TestVerifyCleanStore(t *testing.T) {
 	// digest-ordering and contiguous-offset checks across boundaries.
 	w := s.NewWriter(Options{BlockBytes: 256})
 	for i := 0; i < 300; i++ {
-		if err := w.Add(testEntry(i)); err != nil {
+		if err := w.Append(testEntry(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -146,7 +146,7 @@ func TestCorruptBlockDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s2.Load(nil, func(Entry) {}); err == nil {
+	if _, err := s2.Load(nil, func(solver.CacheEntry) {}); err == nil {
 		t.Fatal("Load of corrupted segment succeeded")
 	}
 }
@@ -170,7 +170,7 @@ func TestTornSegmentRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s2.Load(nil, func(Entry) {}); err == nil {
+	if _, err := s2.Load(nil, func(solver.CacheEntry) {}); err == nil {
 		t.Fatal("Load of torn segment succeeded")
 	}
 	rep, err := s2.Verify()
@@ -206,34 +206,34 @@ func TestPoisonedEntriesRejectedOnLoad(t *testing.T) {
 	}
 	w := s.NewWriter(Options{})
 	good := testEntry(1)
-	if err := w.Add(good); err != nil {
+	if err := w.Append(good); err != nil {
 		t.Fatal(err)
 	}
 	// Poison 1: a Sat verdict whose model does not satisfy its conjunction.
 	badModel := testEntry(2)
 	badModel.Model = solver.Model{solver.Var(2): 99}
-	if err := w.Add(badModel); err != nil {
+	if err := w.Append(badModel); err != nil {
 		t.Fatal(err)
 	}
 	// Poison 2: a digest that does not match the stored conjunction.
 	badDigest := testEntry(3)
-	badDigest.D.Sum ^= 0xDEAD
-	if err := w.Add(badDigest); err != nil {
+	badDigest.Digest.Sum ^= 0xDEAD
+	if err := w.Append(badDigest); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	var loaded []Entry
-	stats, err := s.Load(nil, func(e Entry) { loaded = append(loaded, e) })
+	var loaded []solver.CacheEntry
+	stats, err := s.Load(nil, func(e solver.CacheEntry) { loaded = append(loaded, e) })
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
 	if stats.Loaded != 1 || stats.Rejected != 2 {
 		t.Fatalf("stats = %+v, want 1 loaded / 2 rejected", stats)
 	}
-	if len(loaded) != 1 || loaded[0].D != good.D {
+	if len(loaded) != 1 || loaded[0].Digest != good.Digest {
 		t.Fatalf("loaded %+v, want only the good entry", loaded)
 	}
 }
@@ -253,7 +253,7 @@ func TestTombstonesAndOriginDrop(t *testing.T) {
 		t.Fatalf("origin counts = %v", counts)
 	}
 
-	stats, err := s.Load(map[uint64]bool{101: true}, func(Entry) {})
+	stats, err := s.Load(map[uint64]bool{101: true}, func(solver.CacheEntry) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,9 +304,9 @@ func TestSinkConcurrentOffer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				e := testEntry(w*per + i)
-				k.Offer(e.D, e.Bsig, e.Origin, e.Cons, e.Res, e.Model)
+				k.Offer(e.Digest, e.BSig, e.Origin, e.Cons, e.Res, e.Model)
 				// Duplicate offers must dedup, not double-write.
-				k.Offer(e.D, e.Bsig, e.Origin, e.Cons, e.Res, e.Model)
+				k.Offer(e.Digest, e.BSig, e.Origin, e.Cons, e.Res, e.Model)
 			}
 		}(w)
 	}
@@ -321,7 +321,7 @@ func TestSinkConcurrentOffer(t *testing.T) {
 	if k.Deduped() < workers*per/2 {
 		t.Fatalf("deduped = %d, want at least %d", k.Deduped(), workers*per/2)
 	}
-	stats, err := s.Load(nil, func(Entry) {})
+	stats, err := s.Load(nil, func(solver.CacheEntry) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestSinkSkipsUnknownAndUnmarksOnDrop(t *testing.T) {
 	}
 	k := NewSink(s, Options{}, 0, nil)
 	e := testEntry(1)
-	k.Offer(e.D, e.Bsig, e.Origin, e.Cons, solver.Unknown, nil)
+	k.Offer(e.Digest, e.BSig, e.Origin, e.Cons, solver.Unknown, nil)
 	if err := k.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -393,11 +393,11 @@ func TestCreateRejectsForeignProgram(t *testing.T) {
 	if _, err := Create(dir, "prog-b"); err == nil {
 		t.Fatal("Create accepted a store belonging to another program")
 	}
-	if !IsStoreDir(dir) {
-		t.Fatal("IsStoreDir = false for a store")
+	if !CacheKind.StoreIn(dir) {
+		t.Fatal("StoreIn = false for a store")
 	}
-	if IsStoreDir(t.TempDir()) {
-		t.Fatal("IsStoreDir = true for an empty dir")
+	if CacheKind.StoreIn(t.TempDir()) {
+		t.Fatal("StoreIn = true for an empty dir")
 	}
 }
 
@@ -410,7 +410,7 @@ func TestWriterRollsSegments(t *testing.T) {
 	w := s.NewWriter(Options{BlockBytes: 128, SegmentBytes: 512})
 	const n = 400
 	for i := 0; i < n; i++ {
-		if err := w.Add(testEntry(i)); err != nil {
+		if err := w.Append(testEntry(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -420,10 +420,10 @@ func TestWriterRollsSegments(t *testing.T) {
 	if len(s.Segments()) < 2 {
 		t.Fatalf("expected multiple segments, got %d", len(s.Segments()))
 	}
-	if w.SealedEntries() != n {
-		t.Fatalf("SealedEntries = %d, want %d", w.SealedEntries(), n)
+	if w.Sealed().Entries != n {
+		t.Fatalf("Sealed().Entries = %d, want %d", w.Sealed().Entries, n)
 	}
-	stats, err := s.Load(nil, func(Entry) {})
+	stats, err := s.Load(nil, func(solver.CacheEntry) {})
 	if err != nil || stats.Loaded != n {
 		t.Fatalf("Load after roll: stats=%+v err=%v", stats, err)
 	}

@@ -1,12 +1,12 @@
 package persist
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 
 	"repro/internal/corpus"
+	"repro/internal/solver"
 )
 
 // LoadStats is the outcome of a warm-start load.
@@ -28,19 +28,19 @@ type LoadStats struct {
 // Segment-level damage (torn file, bad block) aborts that segment with an
 // error but the caller may treat it as a cold start: the store is an
 // accelerator, never a source of truth.
-func (s *Store) Load(drop map[uint64]bool, fn func(e Entry)) (LoadStats, error) {
+func (s *Store) Load(drop map[uint64]bool, fn func(e solver.CacheEntry)) (LoadStats, error) {
 	var stats LoadStats
 	for _, info := range s.Segments() {
-		if err := s.loadSegment(filepath.Join(s.dir, info.Name), drop, fn, &stats); err != nil {
+		if err := loadSegment(filepath.Join(s.Dir(), info.Name), drop, fn, &stats); err != nil {
 			return stats, err
 		}
 	}
 	return stats, nil
 }
 
-func (s *Store) loadSegment(path string, drop map[uint64]bool, fn func(e Entry), stats *LoadStats) error {
-	footer, err := readSegFooter(path)
-	if err != nil {
+func loadSegment(path string, drop map[uint64]bool, fn func(e solver.CacheEntry), stats *LoadStats) error {
+	var footer segFooter
+	if _, err := CacheKind.ReadFooter(path, &footer); err != nil {
 		return err
 	}
 	f, err := os.Open(path)
@@ -65,7 +65,7 @@ func (s *Store) loadSegment(path string, drop map[uint64]bool, fn func(e Entry),
 				stats.Invalidated++
 				continue
 			}
-			if err := e.Verify(); err != nil {
+			if err := checkEntry(&e); err != nil {
 				stats.Rejected++
 				continue
 			}
@@ -76,24 +76,11 @@ func (s *Store) loadSegment(path string, drop map[uint64]bool, fn func(e Entry),
 	return nil
 }
 
-// readSegFooter validates the segment envelope and unmarshals the footer.
-func readSegFooter(path string) (*segFooter, error) {
-	blob, _, err := corpus.ReadFooterBlob(path, segMagic, trailerMagic)
-	if err != nil {
-		return nil, fmt.Errorf("solvercache: %w", err)
-	}
-	var footer segFooter
-	if err := json.Unmarshal(blob, &footer); err != nil {
-		return nil, fmt.Errorf("solvercache: %s: bad footer: %w", path, err)
-	}
-	return &footer, nil
-}
-
 // OriginCounts scans the store and returns the number of valid entries per
 // origin hash (tombstoned and corrupt entries excluded).
 func (s *Store) OriginCounts() (map[uint64]int, error) {
 	counts := make(map[uint64]int)
-	_, err := s.Load(nil, func(e Entry) { counts[e.Origin]++ })
+	_, err := s.Load(nil, func(e solver.CacheEntry) { counts[e.Origin]++ })
 	return counts, err
 }
 

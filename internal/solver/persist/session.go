@@ -82,9 +82,9 @@ func Attach(cfg Config) (*Session, error) {
 		fns:    fns,
 		ob:     cfg.Obs,
 	}
-	loadStats, loadErr := st.Load(drop, func(e Entry) {
-		cfg.Shared.Seed(e.D, e.Bsig, e.Origin, e.Cons, e.Res, e.Model)
-		s.Sink.MarkSeen(e.D)
+	loadStats, loadErr := st.Load(drop, func(e solver.CacheEntry) {
+		cfg.Shared.Seed(e.Digest, e.BSig, e.Origin, e.Cons, e.Res, e.Model)
+		s.Sink.MarkSeen(e.Digest)
 	})
 	// A damaged segment aborts its own load mid-way; whatever seeded before
 	// the damage stays usable and the run proceeds cold for the rest.

@@ -21,7 +21,7 @@ type Sink struct {
 	w  *Writer
 	ob *obs.Obs
 
-	ch   chan Entry
+	ch   chan solver.CacheEntry
 	done chan struct{}
 
 	// seen dedups offers by digest: pre-seeded with every digest loaded
@@ -47,7 +47,7 @@ func NewSink(s *Store, opts Options, depth int, ob *obs.Obs) *Sink {
 	k := &Sink{
 		w:    s.NewWriter(opts),
 		ob:   ob,
-		ch:   make(chan Entry, depth),
+		ch:   make(chan solver.CacheEntry, depth),
 		done: make(chan struct{}),
 		seen: make(map[solver.Digest]bool),
 	}
@@ -61,7 +61,7 @@ func (k *Sink) drain() {
 		if k.err != nil {
 			continue // keep draining so Offer never sticks; drop silently
 		}
-		if err := k.w.Add(e); err != nil {
+		if err := k.w.Append(e); err != nil {
 			k.err = err
 			continue
 		}
@@ -100,7 +100,7 @@ func (k *Sink) Offer(d solver.Digest, bsig, origin uint64, cons []solver.Constra
 	k.seen[d] = true
 	k.mu.Unlock()
 
-	e := Entry{D: d, Bsig: bsig, Origin: origin, Res: res,
+	e := solver.CacheEntry{Digest: d, BSig: bsig, Origin: origin, Res: res,
 		Cons: append([]solver.Constraint(nil), cons...)}
 	if model != nil {
 		e.Model = make(solver.Model, len(model))

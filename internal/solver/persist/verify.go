@@ -1,199 +1,69 @@
 package persist
 
 import (
-	"fmt"
-	"os"
 	"path/filepath"
-	"strings"
 
 	"repro/internal/corpus"
+	"repro/internal/solver"
 )
-
-// SegmentReport is the outcome of deep-validating one cache segment.
-type SegmentReport struct {
-	Name     string
-	Entries  int
-	Blocks   int
-	Bytes    int64
-	Problems []string
-}
-
-// OK reports whether the segment validated cleanly.
-func (r *SegmentReport) OK() bool { return len(r.Problems) == 0 }
-
-// VerifyReport aggregates a whole-store validation.
-type VerifyReport struct {
-	Segments []SegmentReport
-	Problems []string // store-level findings
-}
-
-// OK reports whether the store validated cleanly.
-func (r *VerifyReport) OK() bool {
-	if len(r.Problems) > 0 {
-		return false
-	}
-	for i := range r.Segments {
-		if !r.Segments[i].OK() {
-			return false
-		}
-	}
-	return true
-}
-
-// Summary renders a one-line validation summary.
-func (r *VerifyReport) Summary() string {
-	entries, blocks, problems := 0, 0, len(r.Problems)
-	for i := range r.Segments {
-		s := &r.Segments[i]
-		entries += s.Entries
-		blocks += s.Blocks
-		problems += len(s.Problems)
-	}
-	return fmt.Sprintf("%d segments, %d blocks, %d entries, %d problems",
-		len(r.Segments), blocks, entries, problems)
-}
-
-// AllProblems flattens store- and segment-level findings.
-func (r *VerifyReport) AllProblems() []string {
-	out := append([]string(nil), r.Problems...)
-	for i := range r.Segments {
-		for _, p := range r.Segments[i].Problems {
-			out = append(out, r.Segments[i].Name+": "+p)
-		}
-	}
-	return out
-}
 
 // VerifySegmentFile deep-validates one cache segment: envelope (magic,
 // trailer, footer CRC), every block's frame header and payload CRC, a full
 // entry decode, each entry's self-consistency (stored digest vs recomputed,
 // Sat models satisfying their conjunction), the within-block digest
 // ordering, and the footer's min/max/count agreement.
-func VerifySegmentFile(path string) (*SegmentReport, error) {
-	rep := &SegmentReport{Name: filepath.Base(path)}
-	footer, err := readSegFooter(path)
+func VerifySegmentFile(path string) (*corpus.SegmentReport, error) {
+	rep := &corpus.SegmentReport{SegmentInfo: corpus.SegmentInfo{Name: filepath.Base(path)}}
+	var footer segFooter
+	size, err := CacheKind.ReadFooter(path, &footer)
 	if err != nil {
 		return rep, err
 	}
-	if st, err := os.Stat(path); err == nil {
-		rep.Bytes = st.Size()
-	}
+	rep.Bytes = size
 	rep.Blocks = len(footer.Blocks)
-	flag := func(format string, args ...any) {
-		if len(rep.Problems) < 20 {
-			rep.Problems = append(rep.Problems, fmt.Sprintf(format, args...))
-		}
-	}
-
-	f, err := os.Open(path)
-	if err != nil {
-		return rep, err
-	}
-	defer f.Close()
-
-	var raw []byte
-	entries := 0
-	nextOffset := int64(len(segMagic))
+	frames := make([]corpus.BlockFrame, len(footer.Blocks))
 	for bi := range footer.Blocks {
+		frames[bi] = footer.Blocks[bi].BlockFrame
+	}
+	err = CacheKind.CheckBlocks(path, frames, rep, func(bi int, raw []byte) {
 		b := &footer.Blocks[bi]
-		if b.Offset != nextOffset {
-			flag("block %d: offset %d, want contiguous %d", bi, b.Offset, nextOffset)
-		}
-		raw, err = corpus.ReadFramedBlock(f, b.BlockFrame, raw)
-		if err != nil {
-			flag("block %d: %v", bi, err)
-			break // downstream offsets are unreliable after a bad block
-		}
-		nextOffset = b.Offset + int64(corpus.FrameHeaderLen(b.BlockFrame)) + int64(b.CompLen)
 		r := corpus.NewByteReader(raw)
-		var prev Entry
+		var prev solver.CacheEntry
 		for i := 0; i < b.Entries; i++ {
-			e, derr := decodeEntry(r)
-			if derr != nil {
-				flag("block %d: entry %d: %v", bi, i, derr)
+			e, err := decodeEntry(r)
+			if err != nil {
+				rep.Flag("block %d: entry %d: %v", bi, i, err)
 				break
 			}
-			if verr := e.Verify(); verr != nil {
-				flag("block %d: entry %d: %v", bi, i, verr)
+			if err := checkEntry(&e); err != nil {
+				rep.Flag("block %d: entry %d: %v", bi, i, err)
 			}
 			if i == 0 {
-				if e.D.Sum != b.MinSum {
-					flag("block %d: first digest sum %#x, footer min %#x", bi, e.D.Sum, b.MinSum)
+				if e.Digest.Sum != b.MinSum {
+					rep.Flag("block %d: first digest sum %#x, footer min %#x", bi, e.Digest.Sum, b.MinSum)
 				}
-			} else if digestLess(e, prev) {
-				flag("block %d: entry %d breaks digest ordering", bi, i)
+			} else if digestLess(&e, &prev) {
+				rep.Flag("block %d: entry %d breaks digest ordering", bi, i)
 			}
-			if i == b.Entries-1 && e.D.Sum != b.MaxSum {
-				flag("block %d: last digest sum %#x, footer max %#x", bi, e.D.Sum, b.MaxSum)
+			if i == b.Entries-1 && e.Digest.Sum != b.MaxSum {
+				rep.Flag("block %d: last digest sum %#x, footer max %#x", bi, e.Digest.Sum, b.MaxSum)
 			}
 			prev = e
-			entries++
+			rep.Entries++
 		}
 		if r.Len() != 0 {
-			flag("block %d: %d undecoded trailing bytes", bi, r.Len())
+			rep.Flag("block %d: %d undecoded trailing bytes", bi, r.Len())
 		}
-	}
-	rep.Entries = entries
-	if entries != footer.Entries {
-		flag("decoded %d entries, footer declares %d", entries, footer.Entries)
-	}
-	return rep, nil
-}
-
-// digestLess reports a < b under the canonical (Sum, N, Bsig) block order.
-func digestLess(a, b Entry) bool {
-	if a.D.Sum != b.D.Sum {
-		return a.D.Sum < b.D.Sum
-	}
-	if a.D.N != b.D.N {
-		return a.D.N < b.D.N
-	}
-	return a.Bsig < b.Bsig
-}
-
-// Verify validates the whole store: every manifest segment must open,
-// checksum, decode, and agree with its manifest entry; stray temp files
-// and unmanifested segments are store-level problems. The error return is
-// reserved for I/O failures on the directory itself.
-func (s *Store) Verify() (*VerifyReport, error) {
-	rep := &VerifyReport{}
-	flag := func(format string, args ...any) {
-		if len(rep.Problems) < 20 {
-			rep.Problems = append(rep.Problems, fmt.Sprintf(format, args...))
-		}
-	}
-	manifested := make(map[string]bool)
-	for _, info := range s.Segments() {
-		manifested[info.Name] = true
-		segRep, err := VerifySegmentFile(filepath.Join(s.dir, info.Name))
-		if err != nil {
-			segRep.Problems = append(segRep.Problems, err.Error())
-		}
-		if err == nil {
-			if segRep.Entries != info.Entries {
-				segRep.Problems = append(segRep.Problems,
-					fmt.Sprintf("manifest declares %d entries, segment holds %d", info.Entries, segRep.Entries))
-			}
-			if segRep.Bytes != info.Bytes {
-				segRep.Problems = append(segRep.Problems,
-					fmt.Sprintf("manifest declares %d bytes, file is %d", info.Bytes, segRep.Bytes))
-			}
-		}
-		rep.Segments = append(rep.Segments, *segRep)
-	}
-	entries, err := os.ReadDir(s.dir)
+	})
 	if err != nil {
 		return rep, err
 	}
-	for _, e := range entries {
-		name := e.Name()
-		switch {
-		case name == ManifestName || e.IsDir():
-		case strings.Contains(name, ".tmp-"):
-			flag("stray temp file %s (crashed writer; safe to delete)", name)
-		case strings.HasSuffix(name, SegmentSuffix) && !manifested[name]:
-			flag("segment %s on disk but not in manifest", name)
-		}
+	if rep.Entries != footer.Entries {
+		rep.Flag("decoded %d entries, footer declares %d", rep.Entries, footer.Entries)
 	}
 	return rep, nil
 }
+
+// Verify validates the whole store (see corpus.SegmentStore.VerifyWith)
+// with the cache segment check.
+func (s *Store) Verify() (*corpus.VerifyReport, error) { return s.VerifyWith(VerifySegmentFile) }

@@ -3,11 +3,11 @@ package symexec
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"sort"
 
-	"repro/internal/corpus"
+	"repro/internal/durable"
 	"repro/internal/solver"
 	"repro/internal/symexec/snapshot"
 )
@@ -39,6 +39,14 @@ func (ex *Executor) EncodeCheckpoint() ([]byte, error) {
 	if err := ex.checkpointable(); err != nil {
 		return nil, err
 	}
+	return ex.encodeCheckpoint(ex.res, ex.Solver, ex.visits, ex.frontier(), ex.suspended)
+}
+
+// encodeCheckpoint writes one checkpoint blob: program, input spec,
+// variable table and input registry; the effort counters of res and the
+// logical counters of counters; the executor's solver cache; the visit
+// counts; then the active and suspended states.
+func (ex *Executor) encodeCheckpoint(res *Result, counters *solver.CachedSolver, visits [][]int64, active, suspended []*State) ([]byte, error) {
 	w := snapshot.NewWriter()
 	w.Uvarint(checkpointVersion)
 	snapshot.EncodeProgram(w, ex.Prog)
@@ -46,9 +54,35 @@ func (ex *Executor) EncodeCheckpoint() ([]byte, error) {
 	encodeTable(w, ex.Table)
 	e := newStateEncoder(w)
 	encodeRegistry(e, ex.inputs)
-	ex.encodeCounters(w)
-	ex.encodeVisits(w)
-	return ex.encodeStates(e, w)
+	ex.encodeCounters(w, res, counters)
+	encodeSolverCache(w, ex.Solver)
+	encodeVisits(w, visits)
+	pi := make(progIndex, len(ex.Prog.Funcs))
+	for i, f := range ex.Prog.Funcs {
+		pi[f] = i
+	}
+	for _, states := range [][]*State{active, suspended} {
+		w.Int(len(states))
+		for _, st := range states {
+			if err := e.state(st, pi); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return w.Bytes(), nil
+}
+
+// frontier returns the scheduler's active states in dispatch order and
+// re-enqueues them in that order (identity for FIFO schedulers).
+func (ex *Executor) frontier() []*State {
+	var active []*State
+	for st := ex.sched.Next(); st != nil; st = ex.sched.Next() {
+		active = append(active, st)
+	}
+	for _, st := range active {
+		ex.sched.Add(st)
+	}
+	return active
 }
 
 // checkpointable reports whether this executor's configuration is inside
@@ -245,13 +279,13 @@ func decodeRegistry(d *stateDecoder, reg *inputRegistry) error {
 	return nil
 }
 
-// encodeCounters writes the executor's deterministic effort counters and
-// the solver's logical query counters, so a resumed run's final Result
-// reports run-global totals rather than resumed-portion ones.
-func (ex *Executor) encodeCounters(w *snapshot.Writer) {
+// encodeCounters writes the executor's deterministic effort counters (the
+// fields of res) and the solver's logical query counters (those of cs),
+// so a resumed run's final Result reports run-global totals rather than
+// resumed-portion ones.
+func (ex *Executor) encodeCounters(w *snapshot.Writer, res *Result, cs *solver.CachedSolver) {
 	w.Int(ex.nextID)
 	w.Int(ex.nextSeq)
-	res := ex.res
 	w.Int(res.Paths)
 	w.Int(res.StatesCreated)
 	w.Int(res.MaxLive)
@@ -262,20 +296,19 @@ func (ex *Executor) encodeCounters(w *snapshot.Writer) {
 	w.Int(res.HavocCalls)
 	w.Int(res.DepthExhausted)
 	w.Int(res.Revivals)
-	w.Int(ex.Solver.Queries.Checks)
-	w.Int(ex.Solver.Queries.Sat)
-	w.Int(ex.Solver.Queries.Unsat)
-	w.Int(ex.Solver.Queries.Unknown)
-	w.Int(ex.Solver.Hits)
-	w.Int(ex.Solver.Misses)
-	w.Int(ex.Solver.FastSat)
-	w.Int(ex.Solver.FastUnsat)
-	w.Int(ex.Solver.Evictions)
+	w.Int(cs.Queries.Checks)
+	w.Int(cs.Queries.Sat)
+	w.Int(cs.Queries.Unsat)
+	w.Int(cs.Queries.Unknown)
+	w.Int(cs.Hits)
+	w.Int(cs.Misses)
+	w.Int(cs.FastSat)
+	w.Int(cs.FastUnsat)
+	w.Int(cs.Evictions)
 	w.Int(len(res.Vulns))
 	for _, v := range res.Vulns {
 		EncodeVulnerability(w, v)
 	}
-	encodeSolverCache(w, ex.Solver)
 }
 
 // encodeSolverCache ships the exact-match cache so the resumed executor
@@ -379,15 +412,15 @@ func (ex *Executor) decodeCounters(r *snapshot.Reader) error {
 
 // encodeVisits writes the per-instruction visit counters sparsely (only
 // allocated functions, only nonzero cells).
-func (ex *Executor) encodeVisits(w *snapshot.Writer) {
+func encodeVisits(w *snapshot.Writer, visits [][]int64) {
 	nz := 0
-	for _, v := range ex.visits {
+	for _, v := range visits {
 		if v != nil {
 			nz++
 		}
 	}
 	w.Int(nz)
-	for i, v := range ex.visits {
+	for i, v := range visits {
 		if v == nil {
 			continue
 		}
@@ -447,40 +480,6 @@ func (ex *Executor) decodeVisits(r *snapshot.Reader) error {
 		ex.visits[fi] = v
 	}
 	return nil
-}
-
-// encodeStates drains the scheduler, writes active then suspended states,
-// and re-enqueues the active states in the drained order (identity for
-// FIFO schedulers).
-func (ex *Executor) encodeStates(e *stateEncoder, w *snapshot.Writer) ([]byte, error) {
-	pi := make(progIndex, len(ex.Prog.Funcs))
-	for i, f := range ex.Prog.Funcs {
-		pi[f] = i
-	}
-	var active []*State
-	for {
-		st := ex.sched.Next()
-		if st == nil {
-			break
-		}
-		active = append(active, st)
-	}
-	w.Int(len(active))
-	for _, st := range active {
-		if err := e.state(st, pi); err != nil {
-			return nil, err
-		}
-	}
-	w.Int(len(ex.suspended))
-	for _, st := range ex.suspended {
-		if err := e.state(st, pi); err != nil {
-			return nil, err
-		}
-	}
-	for _, st := range active {
-		ex.sched.Add(st)
-	}
-	return w.Bytes(), nil
 }
 
 // ResumeExecutor reconstructs an executor from a checkpoint blob. The blob
@@ -582,63 +581,24 @@ func (ex *Executor) EncodeFrontierShards(n int) ([][]byte, error) {
 	if len(ex.suspended) != 0 {
 		return nil, fmt.Errorf("symexec: cannot shard with %d suspended states", len(ex.suspended))
 	}
-	var active []*State
-	for {
-		st := ex.sched.Next()
-		if st == nil {
-			break
-		}
-		active = append(active, st)
-	}
-	for _, st := range active {
-		ex.sched.Add(st)
-	}
-	pi := make(progIndex, len(ex.Prog.Funcs))
-	for i, f := range ex.Prog.Funcs {
-		pi[f] = i
-	}
+	active := ex.frontier()
 	blobs := make([][]byte, n)
-	for s := 0; s < n; s++ {
-		w := snapshot.NewWriter()
-		w.Uvarint(checkpointVersion)
-		snapshot.EncodeProgram(w, ex.Prog)
-		EncodeSpec(w, ex.inputs.spec)
-		encodeTable(w, ex.Table)
-		e := newStateEncoder(w)
-		encodeRegistry(e, ex.inputs)
-		// Zeroed counters except ID/seq, which must stay globally unique
-		// enough for deterministic per-shard tie-breaking. Layout mirrors
-		// encodeCounters: Paths/StatesCreated/MaxLive, Steps (varint),
-		// Forks through Revivals, nine solver baselines, vuln count.
-		w.Int(ex.nextID)
-		w.Int(ex.nextSeq)
-		w.Int(0)    // Paths
-		w.Int(0)    // StatesCreated
-		w.Int(0)    // MaxLive
-		w.Varint(0) // Steps
-		for i := 0; i < 6; i++ {
-			w.Int(0) // Forks, SummaryCalls, SummaryPaths, HavocCalls, DepthExhausted, Revivals
-		}
-		for i := 0; i < 9; i++ {
-			w.Int(0) // solver counter baselines
-		}
-		w.Int(0) // no vulnerabilities
-		encodeSolverCache(w, ex.Solver)
-		w.Int(0) // no visits
+	for s := range blobs {
 		var mine []*State
 		for i, st := range active {
 			if i%n == s {
 				mine = append(mine, st)
 			}
 		}
-		w.Int(len(mine))
-		for _, st := range mine {
-			if err := e.state(st, pi); err != nil {
-				return nil, err
-			}
+		// Zeroed effort counters, no vulnerabilities and no visit counts:
+		// summing the shards' Results onto the pre-shard base counts every
+		// step once. nextID/nextSeq stay, keeping per-shard tie-breaking
+		// deterministic.
+		blob, err := ex.encodeCheckpoint(&Result{}, &solver.CachedSolver{}, nil, mine, nil)
+		if err != nil {
+			return nil, err
 		}
-		w.Int(0) // no suspended states
-		blobs[s] = w.Bytes()
+		blobs[s] = blob
 	}
 	return blobs, nil
 }
@@ -646,11 +606,9 @@ func (ex *Executor) EncodeFrontierShards(n int) ([][]byte, error) {
 // WriteCheckpointFile writes blob to path as a single CRC-framed .ssnap
 // file, atomically.
 func WriteCheckpointFile(path string, blob []byte) error {
-	var buf bytes.Buffer
-	if err := snapshot.WriteFrame(&buf, snapshot.FrameCheckpoint, blob); err != nil {
-		return err
-	}
-	return corpus.WriteFileAtomic(filepath.Dir(path), filepath.Base(path), buf.Bytes())
+	return durable.WriteFile(path, func(w io.Writer) error {
+		return snapshot.WriteFrame(w, snapshot.FrameCheckpoint, blob)
+	})
 }
 
 // ReadCheckpointFile reads and validates a .ssnap file, returning the

@@ -3,9 +3,11 @@ package trace
 import (
 	"compress/gzip"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"strings"
+
+	"repro/internal/durable"
 )
 
 // countingWriter tracks bytes that reached the underlying file, so error
@@ -13,63 +15,37 @@ import (
 // internally; its Close flushes the tail and can be the first call to see
 // a write error).
 type countingWriter struct {
-	f *os.File
+	w io.Writer
 	n int64
 }
 
 func (w *countingWriter) Write(p []byte) (int, error) {
-	n, err := w.f.Write(p)
+	n, err := w.w.Write(p)
 	w.n += int64(n)
 	return n, err
 }
 
 // WriteFile serializes the corpus to path; a ".gz" suffix enables gzip
 // compression (runtime logs compress ~10x — relevant for grep-sized
-// corpora). The corpus is staged in a temp file in the target directory
-// and renamed into place only after a successful sync, so a crash or a
-// full disk mid-write can never leave a truncated corpus under the final
+// corpora). The file is replaced through durable.WriteFile, so a crash or
+// a full disk mid-write can never leave a truncated corpus under the final
 // name. Returns the bytes written to disk — on error, the bytes that
 // actually reached the (now removed) temp file, not a flat 0.
 func (c *Corpus) WriteFile(path string) (int64, error) {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return 0, err
-	}
-	cw := &countingWriter{f: f}
-	cleanup := func() {
-		f.Close()
-		os.Remove(f.Name())
-	}
-	if strings.HasSuffix(path, ".gz") {
+	cw := &countingWriter{}
+	err := durable.WriteFile(path, func(w io.Writer) error {
+		cw.w = w
+		if !strings.HasSuffix(path, ".gz") {
+			_, err := c.WriteTo(cw)
+			return err
+		}
 		zw := gzip.NewWriter(cw)
 		if _, err := c.WriteTo(zw); err != nil {
-			cleanup()
-			return cw.n, err
+			return err
 		}
-		if err := zw.Close(); err != nil {
-			cleanup()
-			return cw.n, err
-		}
-	} else {
-		if _, err := c.WriteTo(cw); err != nil {
-			cleanup()
-			return cw.n, err
-		}
-	}
-	if err := f.Sync(); err != nil {
-		cleanup()
-		return cw.n, err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
-		return cw.n, err
-	}
-	if err := os.Rename(f.Name(), path); err != nil {
-		os.Remove(f.Name())
-		return cw.n, err
-	}
-	return cw.n, nil
+		return zw.Close()
+	})
+	return cw.n, err
 }
 
 // ReadFile loads a corpus written by WriteFile, transparently handling the
