@@ -80,10 +80,9 @@ func run() error {
 		seed      = flag.Int64("seed", bench.DefaultSeed, "workload seed")
 		only      = flag.Bool("only", false, "run only the selected table/figure")
 		asJSON    = flag.Bool("json", false, "emit machine-readable JSON instead of text tables")
-		baseline  = flag.String("baseline", "", "regression gate: re-run the ablations recorded in this ledger (or legacy BENCH_pr*.json), compare row by row, exit nonzero on regression")
+		baseline  = flag.String("baseline", "", "regression gate: re-run the ablations recorded in this ledger (statsym.ledger/v1, as -ledger-out writes), compare row by row, exit nonzero on regression")
 		ledgerOut = flag.String("ledger-out", "", "write the ablation rows produced by this run as a ledger (future -baseline input)")
-		tolSteps  = flag.Float64("tol-steps", bench.DefaultTolerances().StepsPct, "allowed fractional step-count increase over the baseline (0.10 = +10%)")
-		tolTime   = flag.Float64("tol-time", 0, "flag sym time above baseline×ratio (0: wall clock not gated — it jitters across machines)")
+		tolSteps  = flag.Float64("tol-steps", bench.DefaultStepsTolerance, "allowed fractional step-count increase over the baseline (0.10 = +10%)")
 	)
 	flag.Parse()
 	budgets.Guided.CacheDir = *cacheDir
@@ -152,8 +151,7 @@ func run() error {
 		if err := writeLedger(); err != nil {
 			return err
 		}
-		tol := bench.Tolerances{StepsPct: *tolSteps, TimeRatio: *tolTime}
-		regs := bench.CompareLedger(base, ledgerRows, tol)
+		regs := bench.CompareLedger(base, ledgerRows, *tolSteps)
 		fmt.Print(bench.FormatComparison(*baseline, len(base), len(ledgerRows), regs))
 		if len(regs) > 0 {
 			return fmt.Errorf("%d benchmark regression(s) against %s", len(regs), *baseline)

@@ -272,9 +272,9 @@ func printReport(rep *core.Report, app *apps.App, o *obs.Obs,
 		case c.Infeasible:
 			status = "infeasible / abandoned"
 		}
-		fmt.Printf("   candidate %d (len %d): %s — %d paths, %d steps, %d suspensions, %v (solver: %d checks, %d hits / %d misses, %d fast-paths, %v)\n",
+		fmt.Printf("   candidate %d (len %d): %s — %d paths, %d steps, %d suspensions, %v (solver: %d checks, %d hits / %d misses, %v)\n",
 			c.Index, c.PathLen, status, c.Paths, c.Steps, c.Suspends, c.Elapsed.Round(time.Millisecond),
-			c.SolverChecks, c.CacheHits, c.CacheMisses, c.CacheFastSat+c.CacheFastUnsat, c.SolverTime.Round(time.Millisecond))
+			c.SolverChecks, c.CacheHits, c.CacheMisses, c.SolverTime.Round(time.Microsecond))
 	}
 	if rep.SkippedCandidates > 0 {
 		fmt.Printf("   incremental: %d candidate paths skipped (no changed function on the path)\n",

@@ -49,7 +49,6 @@ func run() error {
 		all       = flag.Bool("all", false, "keep searching after the first vulnerability")
 		replay    = flag.String("replay", "", "seed exploration with a witness input (JSON, from statsym -witness-out)")
 		cov       = flag.Bool("cov", false, "report instruction coverage after the run")
-		fastPaths = flag.Bool("fast-paths", false, "enable heuristic solver-cache shortcuts (UNSAT-core subsumption, Sat-model reuse); may change exploration")
 		cacheDir  = flag.String("cache-dir", "", "persist solver-cache verdicts across runs in this directory (verified on load; wall-clock only)")
 		scope     = flag.String("scope", "", "interpretation scope policy: \"\" or \"all\" interprets everything; \"all,-f,-g\" havocs f and g; \"f,g\" interprets exactly that list plus main")
 		summaries = flag.Bool("summaries", false, "replace summarizable in-scope calls by memoized path summaries")
@@ -121,7 +120,6 @@ func run() error {
 	opts := symexec.DefaultOptions()
 	opts.StopAtFirstVuln = !*all
 	opts.Timeout = *timeout
-	opts.SolverFastPaths = *fastPaths
 	calls, err := core.Config{Scope: *scope, Summaries: *summaries}.CallStrategy(prog)
 	if err != nil {
 		return err
@@ -232,9 +230,8 @@ func run() error {
 	fmt.Printf("scheduler=%s paths=%d states=%d forks=%d steps=%d solver-checks=%d elapsed=%v\n",
 		opts.Sched.Name(), res.Paths, res.StatesCreated, res.Forks, res.Steps,
 		res.SolverChecks, res.Elapsed.Round(time.Millisecond))
-	fmt.Printf("solver-cache: hits=%d misses=%d fast-sat=%d fast-unsat=%d evictions=%d solver-time=%v\n",
-		res.CacheHits, res.CacheMisses, res.CacheFastSat, res.CacheFastUnsat,
-		res.CacheEvictions, res.SolverTime.Round(time.Millisecond))
+	fmt.Printf("solver-cache: hits=%d misses=%d evictions=%d solver-time=%v\n",
+		res.CacheHits, res.CacheMisses, res.CacheEvictions, res.SolverTime.Round(time.Microsecond))
 	if *cov {
 		fmt.Printf("coverage: %.1f%% of instructions\n", ex.TotalCoverage()*100)
 		byFunc := ex.Coverage()

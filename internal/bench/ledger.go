@@ -12,17 +12,12 @@ import (
 // The run ledger is the benchmark suite's regression memory: every
 // benchtab run can serialize its rows as a ledger file, and a later run
 // handed that file via -baseline compares itself row by row and exits
-// nonzero on regression. The reader also accepts the hand-written
-// BENCH_pr*.json files earlier PRs checked in (any JSON object whose
-// sections carry a "rows" array of row-shaped objects), so the existing
-// history is usable as a baseline without conversion.
+// nonzero on regression. A ledger is the only baseline format.
 
 // LedgerSchema identifies ledger files written by WriteLedger.
 const LedgerSchema = "statsym.ledger/v1"
 
-// LedgerRow is one (program, config) outcome. The JSON field names match
-// the rows of the legacy BENCH_pr*.json files, so both formats unmarshal
-// into it directly.
+// LedgerRow is one (program, config) outcome.
 type LedgerRow struct {
 	Program string  `json:"program"`
 	Config  string  `json:"config"`
@@ -91,57 +86,26 @@ func WriteLedger(path string, l Ledger) error {
 	return os.WriteFile(path, append(blob, '\n'), 0o644)
 }
 
-// ReadBaseline loads baseline rows from path. Two formats are accepted:
-// a ledger written by WriteLedger (top-level "rows"), or a legacy
-// BENCH_pr*.json — a JSON object scanned for sections that are objects
-// holding a "rows" array; every such array contributes. Rows missing a
-// program or config are dropped (prose sections don't row-shape).
+// ReadBaseline loads the rows of a ledger written by WriteLedger. Any
+// other file, such as the sectioned BENCH_pr*.json notes of early
+// changes, is an error naming the schema it lacks.
 func ReadBaseline(path string) ([]LedgerRow, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var top map[string]json.RawMessage
-	if err := json.Unmarshal(blob, &top); err != nil {
+	var l Ledger
+	if err := json.Unmarshal(blob, &l); err != nil {
 		return nil, fmt.Errorf("baseline %s: %w", path, err)
 	}
-	var rows []LedgerRow
-	take := func(raw json.RawMessage) {
-		var rs []LedgerRow
-		if err := json.Unmarshal(raw, &rs); err != nil {
-			return
-		}
-		for _, r := range rs {
-			if r.Program != "" && r.Config != "" {
-				rows = append(rows, r)
-			}
-		}
+	if l.Schema != LedgerSchema {
+		return nil, fmt.Errorf("baseline %s: schema %q, want %q (write one with benchtab -ledger-out)",
+			path, l.Schema, LedgerSchema)
 	}
-	if raw, ok := top["rows"]; ok {
-		take(raw)
-	}
-	// Legacy sections: {"summaries_ablation": {"note": ..., "rows": [...]}}.
-	keys := make([]string, 0, len(top))
-	for k := range top {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if k == "rows" {
-			continue
-		}
-		var section struct {
-			Rows json.RawMessage `json:"rows"`
-		}
-		if err := json.Unmarshal(top[k], &section); err != nil || section.Rows == nil {
-			continue
-		}
-		take(section.Rows)
-	}
-	if len(rows) == 0 {
+	if len(l.Rows) == 0 {
 		return nil, fmt.Errorf("baseline %s: no benchmark rows found", path)
 	}
-	return rows, nil
+	return l.Rows, nil
 }
 
 // ablationFor maps a row's config string to the ablation that produces
@@ -187,35 +151,28 @@ func AblationsNeeded(rows []LedgerRow) []string {
 	return names
 }
 
-// Tolerances gate the per-metric regression thresholds. Comparisons are
-// one-sided: only a worse current value is a regression.
-type Tolerances struct {
-	// StepsPct allows the current step count to exceed the baseline by
-	// this fraction (0.10 = +10%) before flagging. Steps are deterministic
-	// for a fixed seed, so the default headroom only absorbs intentional
-	// small shifts; a real search-order regression blows well past it.
-	StepsPct float64
-	// TimeRatio, when > 0, flags current sym_ms above baseline*TimeRatio.
-	// Off by default: wall clock jitters 10-20% run to run and CI machines
-	// differ from the machine that wrote the baseline.
-	TimeRatio float64
-}
-
-// DefaultTolerances is the comparator's standard gate.
-func DefaultTolerances() Tolerances { return Tolerances{StepsPct: 0.10} }
+// DefaultStepsTolerance is the gate's default step headroom: the current
+// step count may exceed the baseline by this fraction (0.10 = +10%)
+// before it is flagged. Steps are deterministic for a fixed seed, so the
+// headroom only absorbs intentional small shifts; a real search-order
+// regression blows well past it. Wall time is never gated here: it
+// jitters run to run and across machines.
+const DefaultStepsTolerance = 0.10
 
 // Regression is one failed row comparison.
 type Regression struct {
 	Key    string // program|config
-	Metric string // "found", "failed", "steps", "sym_ms", "missing"
+	Metric string // "found", "failed", "steps", "digest", "missing"
 	Detail string
 }
 
-// CompareLedger checks current rows against the baseline under the
-// tolerances. Every baseline row whose config maps to a known ablation
-// must be present and no worse; current-only rows are ignored (new
+// CompareLedger checks current rows against the baseline. Every baseline
+// row whose config maps to a known ablation must be present and no worse:
+// still found, still completing, within stepsPct of the baseline's steps
+// and, where both rows carry one, on the same detection digest.
+// Comparisons are one-sided, and current-only rows are ignored (new
 // configurations are not regressions).
-func CompareLedger(baseline, current []LedgerRow, tol Tolerances) []Regression {
+func CompareLedger(baseline, current []LedgerRow, stepsPct float64) []Regression {
 	cur := make(map[string]LedgerRow, len(current))
 	for _, r := range current {
 		cur[r.Key()] = r
@@ -239,19 +196,14 @@ func CompareLedger(baseline, current []LedgerRow, tol Tolerances) []Regression {
 			regs = append(regs, Regression{Key: b.Key(), Metric: "failed",
 				Detail: "run now fails (resource exhaustion) where the baseline completed"})
 		}
-		if limit := float64(b.Steps) * (1 + tol.StepsPct); b.Steps > 0 && float64(c.Steps) > limit {
+		if limit := float64(b.Steps) * (1 + stepsPct); b.Steps > 0 && float64(c.Steps) > limit {
 			regs = append(regs, Regression{Key: b.Key(), Metric: "steps",
 				Detail: fmt.Sprintf("steps %d exceeds baseline %d by more than %.0f%%",
-					c.Steps, b.Steps, tol.StepsPct*100)})
+					c.Steps, b.Steps, stepsPct*100)})
 		}
 		if b.Digest != "" && c.Digest != "" && b.Digest != c.Digest {
 			regs = append(regs, Regression{Key: b.Key(), Metric: "digest",
 				Detail: fmt.Sprintf("detection digest %s diverged from baseline %s", c.Digest, b.Digest)})
-		}
-		if tol.TimeRatio > 0 && b.SymMS > 0 && c.SymMS > b.SymMS*tol.TimeRatio {
-			regs = append(regs, Regression{Key: b.Key(), Metric: "sym_ms",
-				Detail: fmt.Sprintf("sym time %.1fms exceeds baseline %.1fms × %.2f",
-					c.SymMS, b.SymMS, tol.TimeRatio)})
 		}
 	}
 	return regs

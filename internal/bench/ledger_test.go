@@ -32,7 +32,7 @@ func TestLedgerRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(rows, back) {
 		t.Fatalf("round trip mismatch:\nwrote %+v\nread  %+v", rows, back)
 	}
-	if regs := CompareLedger(back, rows, DefaultTolerances()); len(regs) != 0 {
+	if regs := CompareLedger(back, rows, DefaultStepsTolerance); len(regs) != 0 {
 		t.Fatalf("self-comparison regressed: %+v", regs)
 	}
 }
@@ -40,7 +40,7 @@ func TestLedgerRoundTrip(t *testing.T) {
 // TestCompareLedgerFlagsRegressions injects each regression class.
 func TestCompareLedgerFlagsRegressions(t *testing.T) {
 	base := LedgerFromRows(sampleRows())
-	tol := DefaultTolerances()
+	tol := DefaultStepsTolerance
 
 	metricOf := func(regs []Regression) map[string]bool {
 		m := map[string]bool{}
@@ -79,71 +79,63 @@ func TestCompareLedgerFlagsRegressions(t *testing.T) {
 	if m := metricOf(CompareLedger(base, cur, tol)); !m["missing"] {
 		t.Error("missing row not flagged")
 	}
-	// Wall time gated only when TimeRatio is set.
+	// Wall time is never flagged.
 	cur = LedgerFromRows(sampleRows())
 	cur[0].SymMS = base[0].SymMS * 10
 	if regs := CompareLedger(base, cur, tol); len(regs) != 0 {
-		t.Errorf("time flagged with gate off: %+v", regs)
-	}
-	if m := metricOf(CompareLedger(base, cur, Tolerances{StepsPct: 0.10, TimeRatio: 2})); !m["sym_ms"] {
-		t.Error("10x time not flagged with TimeRatio=2")
+		t.Errorf("time flagged: %+v", regs)
 	}
 }
 
-// TestReadBaselineLegacySchema parses the BENCH_pr*.json shape: sections
-// keyed by experiment, each holding a prose note plus a rows array.
-func TestReadBaselineLegacySchema(t *testing.T) {
-	legacy := `{
+// TestReadBaselineRejectsNonLedger: a file without the ledger schema,
+// here the sectioned shape of BENCH_pr6.json, is an error that names the
+// schema, never an empty or partial baseline.
+func TestReadBaselineRejectsNonLedger(t *testing.T) {
+	sectioned := `{
   "pr": 6,
   "title": "whatever",
   "machine": {"goos": "linux", "note": "prose"},
   "summaries_ablation": {
     "note": "prose",
     "rows": [
-      {"program": "polymorph", "config": "calls=interpret", "found": true, "paths": 2, "steps": 9482, "sym_ms": 1.9},
-      {"program": "polymorph", "config": "calls=summarize", "found": true, "paths": 2, "steps": 9482, "sym_ms": 1.3, "summary_calls": 0, "cache_hits": 0, "mined": 0}
+      {"program": "polymorph", "config": "calls=interpret", "found": true, "paths": 2, "steps": 9482, "sym_ms": 1.9}
     ]
   }
 }`
-	path := filepath.Join(t.TempDir(), "BENCH_legacy.json")
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "BENCH_sectioned.json")
+	if err := os.WriteFile(path, []byte(sectioned), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := ReadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		t.Fatalf("sectioned file read as a baseline: %+v", rows)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %+v, want 2", rows)
-	}
-	if rows[0].Program != "polymorph" || rows[0].Steps != 9482 || rows[0].SymMS != 1.9 {
-		t.Errorf("row 0 = %+v", rows[0])
-	}
-	if got := AblationsNeeded(rows); !reflect.DeepEqual(got, []string{"summaries"}) {
-		t.Errorf("AblationsNeeded = %v, want [summaries]", got)
+	if !strings.Contains(err.Error(), LedgerSchema) {
+		t.Errorf("error %q does not name %s", err, LedgerSchema)
 	}
 }
 
-// TestReadBaselineCheckedInHistory reads the repo's real BENCH_pr6.json.
-func TestReadBaselineCheckedInHistory(t *testing.T) {
-	path := "../../BENCH_pr6.json"
-	if _, err := os.Stat(path); err != nil {
-		t.Skip("BENCH_pr6.json not present")
-	}
-	rows, err := ReadBaseline(path)
+// TestReadBaselineGateLedger reads the checked-in push gate,
+// BENCH_gate.json: the summaries, solvercache and dispatch rows, each
+// key once.
+func TestReadBaselineGateLedger(t *testing.T) {
+	rows, err := ReadBaseline("../../BENCH_gate.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) == 0 {
-		t.Fatal("no rows from BENCH_pr6.json")
+	if len(rows) != 38 {
+		t.Errorf("%d rows, want 38", len(rows))
 	}
+	seen := map[string]bool{}
 	for _, r := range rows {
-		if !strings.HasPrefix(r.Config, "calls=") {
-			t.Errorf("unexpected config %q", r.Config)
+		if seen[r.Key()] {
+			t.Errorf("duplicate row %s", r.Key())
 		}
+		seen[r.Key()] = true
 	}
-	if got := AblationsNeeded(rows); !reflect.DeepEqual(got, []string{"summaries"}) {
-		t.Errorf("AblationsNeeded = %v, want [summaries]", got)
+	want := []string{"dispatch", "solvercache", "summaries"}
+	if got := AblationsNeeded(rows); !reflect.DeepEqual(got, want) {
+		t.Errorf("AblationsNeeded = %v, want %v", got, want)
 	}
 }
 

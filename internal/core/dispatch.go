@@ -145,8 +145,6 @@ func encodeAttemptResult(out CandidateOutcome, vuln *symexec.Vulnerability) []by
 	w.Int(out.SolverChecks)
 	w.Int(out.CacheHits)
 	w.Int(out.CacheMisses)
-	w.Int(out.CacheFastSat)
-	w.Int(out.CacheFastUnsat)
 	w.Varint(int64(out.SolverTime))
 	w.Int(out.SummaryCalls)
 	w.Int(out.SummaryPaths)
@@ -211,12 +209,6 @@ func decodeAttemptResult(payload []byte) (CandidateOutcome, *symexec.Vulnerabili
 		return out, nil, err
 	}
 	if out.CacheMisses, err = r.Int(); err != nil {
-		return out, nil, err
-	}
-	if out.CacheFastSat, err = r.Int(); err != nil {
-		return out, nil, err
-	}
-	if out.CacheFastUnsat, err = r.Int(); err != nil {
 		return out, nil, err
 	}
 	if ns, err = r.Varint(); err != nil {

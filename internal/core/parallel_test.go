@@ -116,13 +116,10 @@ func TestSharedCacheDeterminism(t *testing.T) {
 						ci, rep.Found(), rep.CandidateUsed, ref.Found(), ref.CandidateUsed)
 				}
 				if rep.TotalPaths != ref.TotalPaths || rep.TotalSteps != ref.TotalSteps ||
-					rep.CacheHits != ref.CacheHits || rep.CacheMisses != ref.CacheMisses ||
-					rep.CacheFastSat != ref.CacheFastSat || rep.CacheFastUnsat != ref.CacheFastUnsat {
-					t.Errorf("config %d counters diverged:\n  got  paths=%d steps=%d hits=%d misses=%d fastSat=%d fastUnsat=%d\n  want paths=%d steps=%d hits=%d misses=%d fastSat=%d fastUnsat=%d",
-						ci, rep.TotalPaths, rep.TotalSteps,
-						rep.CacheHits, rep.CacheMisses, rep.CacheFastSat, rep.CacheFastUnsat,
-						ref.TotalPaths, ref.TotalSteps,
-						ref.CacheHits, ref.CacheMisses, ref.CacheFastSat, ref.CacheFastUnsat)
+					rep.CacheHits != ref.CacheHits || rep.CacheMisses != ref.CacheMisses {
+					t.Errorf("config %d counters diverged:\n  got  paths=%d steps=%d hits=%d misses=%d\n  want paths=%d steps=%d hits=%d misses=%d",
+						ci, rep.TotalPaths, rep.TotalSteps, rep.CacheHits, rep.CacheMisses,
+						ref.TotalPaths, ref.TotalSteps, ref.CacheHits, ref.CacheMisses)
 				}
 				if len(rep.Candidates) != len(ref.Candidates) {
 					t.Fatalf("config %d: %d candidates, want %d", ci, len(rep.Candidates), len(ref.Candidates))

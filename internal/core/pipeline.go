@@ -221,16 +221,12 @@ type CandidateOutcome struct {
 	Cancelled bool
 
 	// Solver effort for this attempt: total satisfiability queries, the
-	// query-cache split (exact hits, misses, and the KLEE-style fast-path
-	// answers within the misses), and the wall clock spent inside
-	// non-memoized solver checks (previously computed in internal/solver
-	// but dropped outside the ablation bench).
-	SolverChecks   int
-	CacheHits      int
-	CacheMisses    int
-	CacheFastSat   int
-	CacheFastUnsat int
-	SolverTime     time.Duration
+	// query-cache split (exact hits and misses), and the wall clock spent
+	// inside non-memoized solver checks.
+	SolverChecks int
+	CacheHits    int
+	CacheMisses  int
+	SolverTime   time.Duration
 
 	// Compositional-call counters for this attempt (zero under interpret
 	// mode): calls replaced by summary instantiation, feasible paths those
@@ -295,13 +291,11 @@ type Report struct {
 	// loop which never starts them (see mergeAttempts).
 	TotalPaths int
 	TotalSteps int64
-	// CacheHits/CacheMisses/fast-path counters/SolverTime aggregate the
-	// per-candidate solver effort across the recorded attempts.
-	CacheHits      int
-	CacheMisses    int
-	CacheFastSat   int
-	CacheFastUnsat int
-	SolverTime     time.Duration
+	// CacheHits/CacheMisses/SolverTime aggregate the per-candidate solver
+	// effort across the recorded attempts.
+	CacheHits   int
+	CacheMisses int
+	SolverTime  time.Duration
 	// Compositional-call totals across the recorded attempts (deterministic,
 	// from the executors' Result counters).
 	SummaryCalls   int
@@ -472,8 +466,6 @@ func (r *Report) addOutcome(o CandidateOutcome) {
 	r.TotalSteps += o.Steps
 	r.CacheHits += o.CacheHits
 	r.CacheMisses += o.CacheMisses
-	r.CacheFastSat += o.CacheFastSat
-	r.CacheFastUnsat += o.CacheFastUnsat
 	r.SolverTime += o.SolverTime
 	r.SummaryCalls += o.SummaryCalls
 	r.SummaryPaths += o.SummaryPaths
@@ -547,8 +539,6 @@ func VerifyCandidateCtx(ctx context.Context, prog *bytecode.Program, cand *pathi
 		SolverChecks:   res.SolverChecks,
 		CacheHits:      res.CacheHits,
 		CacheMisses:    res.CacheMisses,
-		CacheFastSat:   res.CacheFastSat,
-		CacheFastUnsat: res.CacheFastUnsat,
 		SolverTime:     res.SolverTime,
 		SummaryCalls:   res.SummaryCalls,
 		SummaryPaths:   res.SummaryPaths,
@@ -587,8 +577,7 @@ func VerifyCandidateCtx(ctx context.Context, prog *bytecode.Program, cand *pathi
 	vspan.EmitChild("solver", runStart, res.SolverTime,
 		obs.A("checks", res.SolverChecks), obs.A("sat", res.SolverSat),
 		obs.A("unsat", res.SolverUnsat), obs.A("unknown", res.SolverUnknowns),
-		obs.A("cache_hits", res.CacheHits), obs.A("cache_misses", res.CacheMisses),
-		obs.A("cache_fast_sat", res.CacheFastSat), obs.A("cache_fast_unsat", res.CacheFastUnsat))
+		obs.A("cache_hits", res.CacheHits), obs.A("cache_misses", res.CacheMisses))
 	vspan.End(obs.A("rank", rank), obs.A("outcome", out.Label()),
 		obs.A("paths", out.Paths), obs.A("steps", out.Steps))
 	return out, vuln

@@ -20,11 +20,9 @@ const (
 	MetricCacheHits     = "solver.cache.hits"
 	MetricCacheMisses   = "solver.cache.misses"
 
-	// Query-cache fast paths and eviction pressure (internal/solver).
-	// Evictions is the total entries dropped; the .capacity/.invalidated
-	// split attributes them to cache pressure vs code change.
-	MetricCacheFastSat             = "solver.cache.fast_sat"
-	MetricCacheFastUnsat           = "solver.cache.fast_unsat"
+	// Query-cache eviction pressure (internal/solver). Evictions is the
+	// total entries dropped; the .capacity/.invalidated split attributes
+	// them to cache pressure vs code change.
 	MetricCacheEvictions           = "solver.cache.evictions"
 	MetricCacheEvictionsCapacity   = "solver.cache.evictions.capacity"
 	MetricCacheEvictionsInvalidate = "solver.cache.evictions.invalidated"

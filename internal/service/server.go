@@ -511,12 +511,15 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 
 	j := newJob(id, spec, s.o)
+	// Snapshot before admit pushes the job: a runner may pop it at once,
+	// and the response reports the state the job was admitted in.
+	admitted := j.status()
 	if err := s.admit(j, false); err != nil {
 		apiError(w, http.StatusServiceUnavailable, "admit: %v", err)
 		return
 	}
 	w.Header().Set("Location", "/v1/jobs/"+id)
-	writeJSON(w, http.StatusAccepted, j.status())
+	writeJSON(w, http.StatusAccepted, admitted)
 }
 
 func (s *Service) handleList(w http.ResponseWriter, r *http.Request) {

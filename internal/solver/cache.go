@@ -16,13 +16,12 @@ import (
 //  1. a bounded LRU of exact conjunctions (digest-keyed, with the stored
 //     conjunction verified on every hit so an FNV-64 collision can never
 //     return a wrong verdict);
-//  2. opt-in KLEE-style fast paths on an exact miss (FastPaths): a
-//     remembered UNSAT core that is a subset of the query proves Unsat; a
-//     recent model that satisfies every query constraint proves Sat with
-//     model reuse;
-//  3. an optional per-run SharedCache consulted before solving, so
+//  2. an optional per-run SharedCache consulted before solving, so
 //     parallel candidate verifications reuse each other's work;
-//  4. the underlying Solver.
+//  3. the underlying Solver.
+//
+// Every layer answers only exact matches, so a cached verdict and model
+// are always the ones a fresh solve would return.
 //
 // A CachedSolver is single-goroutine like the executor that owns it; only
 // the wall-clock accumulator is atomic, so progress snapshots and shared
@@ -30,10 +29,10 @@ import (
 type CachedSolver struct {
 	S *Solver
 
-	// Spill, when set, receives every freshly decided verdict (exact or
-	// fast-path) so a persistence layer can write it behind the solver's
-	// back. It must never block: callers sit on the executor's hot path.
-	// When Shared is also set, physically solved verdicts are spilled by
+	// Spill, when set, receives every freshly decided verdict so a
+	// persistence layer can write it behind the solver's back. It must
+	// never block: callers sit on the executor's hot path. When Shared is
+	// also set, physically solved verdicts are spilled by
 	// SharedCache.store instead, so each verdict is offered exactly once.
 	Spill SpillFunc
 
@@ -53,35 +52,23 @@ type CachedSolver struct {
 	// wall-clock only — never verdicts, models, or the logical counters.
 	Shared *SharedCache
 
-	// FastPaths enables the heuristic layer (UNSAT-core subsumption and
-	// Sat-model reuse). Off by default: both can change what a fresh solve
-	// would have returned — a reused model carries different (equally
-	// valid) values, and a subsumed core can answer Unsat where a large
-	// query would have exhausted the solver's budget into Unknown — and
-	// the executor concretizes strings and indices from model values, so
-	// enabling this changes exploration. Exact-match layers (LRU, Shared)
-	// always replay the canonical verdict and model and need no gate.
-	FastPaths bool
-
 	// Disabled bypasses every cache layer (ablation support): each query
 	// goes straight to the solver, with only the logical counters and the
 	// wall clock maintained.
 	Disabled bool
 
-	// Hits/Misses count the exact-match layer. FastSat/FastUnsat count
-	// layer-2 shortcut answers (a subclass of Misses); Evictions counts
-	// capacity evictions only — entries dropped because the LRU was full.
+	// Hits/Misses count the exact-match layer; Evictions counts capacity
+	// evictions only — entries dropped because the LRU was full.
 	// Invalidations counts entries removed because their origin function's
 	// bytecode changed (InvalidateOrigins); keeping the two apart lets the
 	// solver-cache ablation attribute misses correctly. All are
 	// deterministic per query sequence.
-	Hits, Misses       int
-	FastSat, FastUnsat int
-	Evictions          int
-	Invalidations      int
+	Hits, Misses  int
+	Evictions     int
+	Invalidations int
 
 	// Queries are the logical solver verdicts: one Check per query that
-	// passed the local fast paths, split by outcome. Unlike S.Stats (which
+	// missed the local LRU, split by outcome. Unlike S.Stats (which
 	// counts physical solves), Queries is independent of whether the Shared
 	// cache served the result, so Report counters built from it stay
 	// deterministic across sequential, parallel, shared and unshared runs.
@@ -97,9 +84,7 @@ type CachedSolver struct {
 	// record from multiple goroutines in tests, must not race).
 	wallNanos atomic.Int64
 
-	lru    lruCache
-	cores  coreRing
-	models modelRing
+	lru lruCache
 }
 
 // SpillFunc receives one decided verdict for asynchronous persistence:
@@ -118,8 +103,8 @@ func NewCached(s *Solver) *CachedSolver {
 const DefaultCacheEntries = 1 << 16
 
 // WallTime returns the wall clock accumulated inside physical solver
-// checks. Cache hits and fast paths are excluded, so the sum is the real
-// solving effort (Report/HTML "solver time" column).
+// checks. Cache hits are excluded, so the sum is the real solving effort
+// (Report/HTML "solver time" column).
 func (cs *CachedSolver) WallTime() time.Duration {
 	return time.Duration(cs.wallNanos.Load())
 }
@@ -151,20 +136,12 @@ func (cs *CachedSolver) Check(t *VarTable, cons []Constraint) (Result, Model) {
 // of cancellation, and memoizing them would poison later retries of the
 // same conjunction.
 func (cs *CachedSolver) CheckCtx(ctx context.Context, t *VarTable, cons []Constraint) (Result, Model) {
-	return cs.checkDigest(ctx, t, cons, DigestOf(cons), nil)
+	return cs.checkDigest(ctx, t, cons, DigestOf(cons))
 }
 
-// CheckDigestCtx is CheckCtx for callers that maintain the conjunction's
-// digest incrementally (the executor's per-state rolling digest), skipping
-// the O(n) re-hash.
-func (cs *CachedSolver) CheckDigestCtx(ctx context.Context, t *VarTable, cons []Constraint, d Digest) (Result, Model) {
-	return cs.checkDigest(ctx, t, cons, d, nil)
-}
-
-// checkDigest is the cache pipeline. hashes, when non-nil, are the
-// precomputed per-constraint hashes of cons (the partitioned path computes
-// them once for component digests and passes them through).
-func (cs *CachedSolver) checkDigest(ctx context.Context, t *VarTable, cons []Constraint, d Digest, hashes []uint64) (Result, Model) {
+// checkDigest is the cache pipeline: local LRU, then the shared cache,
+// then the solver. d is the digest of cons.
+func (cs *CachedSolver) checkDigest(ctx context.Context, t *VarTable, cons []Constraint, d Digest) (Result, Model) {
 	if cs.Disabled {
 		start := time.Now()
 		res, model := cs.S.CheckCtx(ctx, t, cons)
@@ -187,29 +164,6 @@ func (cs *CachedSolver) checkDigest(ctx context.Context, t *VarTable, cons []Con
 	var bsig uint64
 	if cs.Shared != nil || cs.Spill != nil {
 		bsig = boundsSig(t, cons)
-	}
-	if cs.FastPaths {
-		// The rings need per-constraint hashes; computed only here so the
-		// default path never pays for them.
-		if hashes == nil {
-			hashes = hashAll(cons)
-		}
-		// Fast path: a remembered UNSAT core contained in the query
-		// refutes it (adding constraints preserves unsatisfiability).
-		if cs.cores.subsetOf(cons, hashes) {
-			cs.FastUnsat++
-			cs.store(d, bsig, cons, Unsat, nil)
-			cs.spill(d, bsig, cons, Unsat, nil)
-			return Unsat, nil
-		}
-		// Fast path: a recent model satisfying every constraint of the
-		// query is a Sat witness (typically from a superset conjunction).
-		if m, ok := cs.models.satisfying(cons); ok {
-			cs.FastSat++
-			cs.store(d, bsig, cons, Sat, m)
-			cs.spill(d, bsig, cons, Sat, m)
-			return Sat, m
-		}
 	}
 	var res Result
 	var model Model
@@ -238,14 +192,6 @@ func (cs *CachedSolver) checkDigest(ctx context.Context, t *VarTable, cons []Con
 	}
 	cs.Queries.note(res)
 	cs.store(d, bsig, cons, res, model)
-	if cs.FastPaths {
-		switch res {
-		case Unsat:
-			cs.cores.add(cons, hashes)
-		case Sat:
-			cs.models.add(model)
-		}
-	}
 	return res, model
 }
 
@@ -457,105 +403,4 @@ func (c *lruCache) len() int {
 		return 0
 	}
 	return c.ll.Len()
-}
-
-// --- UNSAT-core ring ---
-
-// Core retention limits: only small refuted conjunctions are kept (small
-// cores subsume the most future queries, and the subset test stays cheap).
-const (
-	maxUnsatCores = 16
-	maxCoreSize   = 8
-)
-
-type unsatCore struct {
-	cons   []Constraint
-	hashes []uint64
-}
-
-// coreRing is a fixed-size ring of recently refuted small conjunctions.
-type coreRing struct {
-	cores []unsatCore
-	next  int
-}
-
-func (r *coreRing) add(cons []Constraint, hashes []uint64) {
-	if len(cons) == 0 || len(cons) > maxCoreSize {
-		return
-	}
-	core := unsatCore{
-		cons:   append([]Constraint(nil), cons...),
-		hashes: append([]uint64(nil), hashes...),
-	}
-	if len(r.cores) < maxUnsatCores {
-		r.cores = append(r.cores, core)
-		return
-	}
-	r.cores[r.next] = core
-	r.next = (r.next + 1) % maxUnsatCores
-}
-
-// subsetOf reports whether any remembered core is a sub-multiset of the
-// query (hashes are the query's per-constraint hashes).
-func (r *coreRing) subsetOf(cons []Constraint, hashes []uint64) bool {
-nextCore:
-	for ci := range r.cores {
-		core := &r.cores[ci]
-		if len(core.cons) > len(cons) {
-			continue
-		}
-	nextCons:
-		for i, ch := range core.hashes {
-			for j, qh := range hashes {
-				if ch == qh && constraintEq(core.cons[i], cons[j]) {
-					continue nextCons
-				}
-			}
-			continue nextCore
-		}
-		return true
-	}
-	return false
-}
-
-// --- recent-model ring ---
-
-// maxRecentModels bounds the Sat-model reuse window.
-const maxRecentModels = 8
-
-type modelRing struct {
-	models []Model
-	next   int
-}
-
-func (r *modelRing) add(m Model) {
-	if m == nil {
-		return
-	}
-	if len(r.models) < maxRecentModels {
-		r.models = append(r.models, m)
-		return
-	}
-	r.models[r.next] = m
-	r.next = (r.next + 1) % maxRecentModels
-}
-
-// satisfying returns a remembered model under which every constraint of
-// cons holds (variables missing from the model read 0, matching the
-// executor's witness semantics).
-func (r *modelRing) satisfying(cons []Constraint) (Model, bool) {
-	if len(cons) == 0 {
-		return nil, false
-	}
-nextModel:
-	for i := len(r.models) - 1; i >= 0; i-- {
-		m := r.models[i]
-		for _, c := range cons {
-			if !c.Holds(m) {
-				continue nextModel
-			}
-		}
-		return m, true
-	}
-	return nil, false
 }

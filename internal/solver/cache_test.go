@@ -65,8 +65,7 @@ func TestDigestNoAffineSumCollision(t *testing.T) {
 // intrinsic VarTable bounds differ must not share an exact-match entry —
 // parallel executors build their own tables, Var IDs recur across them,
 // and the same structural query can flip verdicts with the bounds. (The
-// per-executor LRU and heuristic fast paths stay single-table, where no
-// signature is needed.)
+// per-executor LRU stays single-table, where no signature is needed.)
 func TestCacheBoundsSignature(t *testing.T) {
 	wide := NewVarTable()
 	x1 := wide.NewVar("x") // unbounded
@@ -93,78 +92,12 @@ func TestCacheBoundsSignature(t *testing.T) {
 	}
 }
 
-// TestCacheFastUnsatSubset: with FastPaths enabled, once a small
-// conjunction is refuted, any superset query is answered by the
-// UNSAT-core fast path without a physical solve.
-func TestCacheFastUnsatSubset(t *testing.T) {
-	tbl := NewVarTable()
-	x := tbl.NewVar("x")
-	y := tbl.NewVar("y")
-	cs := NewCached(New())
-	cs.FastPaths = true
-	core := []Constraint{Ge(VarExpr(x), ConstExpr(10)), Le(VarExpr(x), ConstExpr(5))}
-	if res, _ := cs.Check(tbl, core); res != Unsat {
-		t.Fatalf("core: %v, want unsat", res)
-	}
-	physical := cs.S.Stats.Checks
-	super := append(append([]Constraint(nil), core...), Ge(VarExpr(y), ConstExpr(0)))
-	res, _ := cs.Check(tbl, super)
-	if res != Unsat {
-		t.Fatalf("superset: %v, want unsat", res)
-	}
-	if cs.FastUnsat != 1 {
-		t.Errorf("FastUnsat = %d, want 1", cs.FastUnsat)
-	}
-	if cs.S.Stats.Checks != physical {
-		t.Errorf("fast path still performed a physical solve (%d -> %d)",
-			physical, cs.S.Stats.Checks)
-	}
-	// Fast-path answers are cache answers: like exact hits, they do not
-	// count as logical solver queries.
-	if cs.Queries.Unsat != 1 {
-		t.Errorf("Queries.Unsat = %d, want 1", cs.Queries.Unsat)
-	}
-}
-
-// TestCacheFastSatModelReuse: with FastPaths enabled, a remembered model
-// satisfying every query constraint proves Sat without a physical solve.
-func TestCacheFastSatModelReuse(t *testing.T) {
-	tbl := NewVarTable()
-	x := tbl.NewVar("x")
-	cs := NewCached(New())
-	cs.FastPaths = true
-	full := []Constraint{Ge(VarExpr(x), ConstExpr(3)), Le(VarExpr(x), ConstExpr(9))}
-	res, m := cs.Check(tbl, full)
-	if res != Sat {
-		t.Fatalf("full: %v, want sat", res)
-	}
-	physical := cs.S.Stats.Checks
-	// The subset query is satisfied by the remembered model.
-	sub := []Constraint{Ge(VarExpr(x), ConstExpr(3))}
-	res, m2 := cs.Check(tbl, sub)
-	if res != Sat {
-		t.Fatalf("subset: %v, want sat", res)
-	}
-	if cs.FastSat != 1 {
-		t.Errorf("FastSat = %d, want 1", cs.FastSat)
-	}
-	if cs.S.Stats.Checks != physical {
-		t.Errorf("fast path still performed a physical solve")
-	}
-	for _, c := range sub {
-		if !c.Holds(m2) {
-			t.Errorf("reused model %v violates %s (original %v)", m2, c.String(tbl), m)
-		}
-	}
-}
-
-// TestCacheFastPathsOffByDefault: the heuristic shortcuts are opt-in —
-// reused models carry different (if valid) concrete values and core
-// subsumption can sharpen a budget-exhausted Unknown into Unsat, both of
-// which can steer a model-sensitive executor differently. By default a
-// subset/superset query that misses the exact layer must reach the
-// physical solver.
-func TestCacheFastPathsOffByDefault(t *testing.T) {
+// TestCacheSupersetOfRefutedReachesSolver: the cache answers exact
+// conjunctions only. A superset of a refuted conjunction is a different
+// query, so it misses and reaches the physical solver instead of being
+// refuted by subsumption, which could turn a budget-exhausted Unknown
+// into Unsat and steer the executor differently.
+func TestCacheSupersetOfRefutedReachesSolver(t *testing.T) {
 	tbl := NewVarTable()
 	x := tbl.NewVar("x")
 	y := tbl.NewVar("y")
@@ -179,12 +112,8 @@ func TestCacheFastPathsOffByDefault(t *testing.T) {
 		t.Fatalf("superset: %v, want unsat", res)
 	}
 	if cs.S.Stats.Checks != physical+1 {
-		t.Errorf("physical checks %d -> %d, want a real solve with FastPaths off",
+		t.Errorf("physical checks %d -> %d, want a real solve",
 			physical, cs.S.Stats.Checks)
-	}
-	if cs.FastSat != 0 || cs.FastUnsat != 0 {
-		t.Errorf("fast-path counters moved while disabled: sat=%d unsat=%d",
-			cs.FastSat, cs.FastUnsat)
 	}
 }
 
@@ -220,8 +149,8 @@ func TestCacheLRUEviction(t *testing.T) {
 	if cs.Hits != hits+2 {
 		t.Errorf("surviving entries missed: hits %d -> %d", hits, cs.Hits)
 	}
-	// Query 0 was evicted: re-checking it is an exact-layer miss (with the
-	// heuristic fast paths off by default, it re-solves physically).
+	// Query 0 was evicted: re-checking it is an exact-layer miss, so it
+	// re-solves physically.
 	misses := cs.Misses
 	cs.Check(tbl, q(0))
 	if cs.Misses != misses+1 {

@@ -92,15 +92,6 @@ func DigestOf(cons []Constraint) Digest {
 	return Digest{Sum: sum, N: len(cons)}
 }
 
-// hashAll returns the per-constraint hashes of cons.
-func hashAll(cons []Constraint) []uint64 {
-	hs := make([]uint64, len(cons))
-	for i, c := range cons {
-		hs[i] = HashConstraint(c)
-	}
-	return hs
-}
-
 // constraintEq reports structural equality of two canonical constraints.
 func constraintEq(a, b Constraint) bool {
 	if a.Op != b.Op || a.E.Const != b.E.Const || len(a.E.Terms) != len(b.E.Terms) {

@@ -13,9 +13,7 @@ import (
 // Shared entries are only ever exact, verified matches (digest + intrinsic
 // bounds signature + constraint multiset): different executors build
 // different VarTables, where the same Var ID can carry different intrinsic
-// bounds, and the bounds signature refuses such cross-table hits. The
-// heuristic fast paths (UNSAT cores, model reuse) stay per-executor where
-// a single table makes them sound.
+// bounds, and the bounds signature refuses such cross-table hits.
 //
 // Because the underlying solver is deterministic, serving a shared entry
 // returns exactly what a local solve would have; hit/miss counts here are

@@ -302,8 +302,10 @@ func (ex *Executor) encodeCounters(w *snapshot.Writer, res *Result, cs *solver.C
 	w.Int(cs.Queries.Unknown)
 	w.Int(cs.Hits)
 	w.Int(cs.Misses)
-	w.Int(cs.FastSat)
-	w.Int(cs.FastUnsat)
+	// Two retired slots, always zero: they held the solver cache's
+	// fast-path counters, and keeping them keeps checkpoint bytes stable.
+	w.Int(0)
+	w.Int(0)
 	w.Int(cs.Evictions)
 	w.Int(len(res.Vulns))
 	for _, v := range res.Vulns {
@@ -380,13 +382,14 @@ func (ex *Executor) decodeCounters(r *snapshot.Reader) error {
 	if ex.res.Steps, err = r.Varint(); err != nil {
 		return err
 	}
+	var retired [2]int // the zero slots encodeCounters keeps writing
 	ints = []*int{
 		&ex.res.Forks, &ex.res.SummaryCalls, &ex.res.SummaryPaths,
 		&ex.res.HavocCalls, &ex.res.DepthExhausted, &ex.res.Revivals,
 		&ex.Solver.Queries.Checks, &ex.Solver.Queries.Sat,
 		&ex.Solver.Queries.Unsat, &ex.Solver.Queries.Unknown,
 		&ex.Solver.Hits, &ex.Solver.Misses,
-		&ex.Solver.FastSat, &ex.Solver.FastUnsat, &ex.Solver.Evictions,
+		&retired[0], &retired[1], &ex.Solver.Evictions,
 	}
 	for _, p := range ints {
 		if *p, err = r.Int(); err != nil {

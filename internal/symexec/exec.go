@@ -71,12 +71,6 @@ type Options struct {
 	// entries by origin function. Purely attributive: never consulted for
 	// verdicts.
 	OriginHashes []uint64
-	// SolverFastPaths enables the solver cache's heuristic layer
-	// (UNSAT-core subsumption, Sat-model reuse). Unlike the exact-match
-	// caches this can change exploration — reused models carry different
-	// concrete values and subsumption can sharpen Unknown into Unsat — so
-	// it is opt-in (see solver.CachedSolver.FastPaths).
-	SolverFastPaths bool
 	// Workers selects how many goroutines step the frontier. Every run uses
 	// the epoch loop (frontier.go): draft states from the scheduler, run
 	// each for one quantum on its own slot, merge the outcomes in draft
@@ -166,8 +160,8 @@ type Result struct {
 	SummaryPaths   int
 	HavocCalls     int
 	DepthExhausted int
-	// SolverChecks/SolverUnknowns count satisfiability queries issued to
-	// the solver (excluding model-cache fast paths); SolverSat/SolverUnsat
+	// SolverChecks/SolverUnknowns count satisfiability queries that missed
+	// the local query cache; SolverSat/SolverUnsat
 	// split the decided queries by verdict.
 	SolverChecks   int
 	SolverUnknowns int
@@ -176,13 +170,9 @@ type Result struct {
 	// CacheHits/CacheMisses are the solver query-cache counters and
 	// SolverTime the wall clock spent inside non-memoized solver checks —
 	// surfaced here so pipeline reports need not reach into the solver.
-	// CacheFastSat/CacheFastUnsat count queries answered by the KLEE-style
-	// subset/superset shortcuts (a subclass of CacheMisses), and
 	// CacheEvictions counts LRU evictions from the exact-match cache.
 	CacheHits      int
 	CacheMisses    int
-	CacheFastSat   int
-	CacheFastUnsat int
 	CacheEvictions int
 	SolverTime     time.Duration
 	// Exhausted reports the state-budget abort (KLEE OOM analogue);
@@ -310,7 +300,6 @@ func newExecutor(prog *bytecode.Program, table *solver.VarTable, spec *InputSpec
 		visits: make([][]int64, len(prog.Funcs)),
 	}
 	ex.Solver.Shared = opts.SharedCache
-	ex.Solver.FastPaths = opts.SolverFastPaths
 	if cov, ok := opts.Sched.(*CoverageScheduler); ok {
 		cov.SetVisitFunc(ex.visitCount)
 	}
@@ -441,8 +430,6 @@ func (ex *Executor) runContext(ctx context.Context, loop func(*Executor)) *Resul
 	ex.res.SolverUnsat = ex.Solver.Queries.Unsat
 	ex.res.CacheHits = ex.Solver.Hits
 	ex.res.CacheMisses = ex.Solver.Misses
-	ex.res.CacheFastSat = ex.Solver.FastSat
-	ex.res.CacheFastUnsat = ex.Solver.FastUnsat
 	ex.res.CacheEvictions = ex.Solver.Evictions
 	ex.res.SolverTime = ex.Solver.WallTime() + ex.extraWall
 	ex.res.Elapsed = time.Since(start)
@@ -512,8 +499,6 @@ func (ex *Executor) mirrorMetrics() {
 	m.Counter(obs.MetricSolverUnknown).Add(int64(r.SolverUnknowns))
 	m.Counter(obs.MetricCacheHits).Add(int64(r.CacheHits))
 	m.Counter(obs.MetricCacheMisses).Add(int64(r.CacheMisses))
-	m.Counter(obs.MetricCacheFastSat).Add(int64(r.CacheFastSat))
-	m.Counter(obs.MetricCacheFastUnsat).Add(int64(r.CacheFastUnsat))
 	// Evictions split by cause: capacity pressure (r.CacheEvictions, the
 	// historical meaning) vs origin invalidation after a code change. The
 	// unsplit counter stays as the total for dashboard continuity.

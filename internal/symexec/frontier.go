@@ -178,8 +178,6 @@ func (ex *Executor) foldSlotSolver(sx *Executor) {
 	ex.Solver.Queries.Unknown += sx.Solver.Queries.Unknown
 	ex.Solver.Hits += sx.Solver.Hits
 	ex.Solver.Misses += sx.Solver.Misses
-	ex.Solver.FastSat += sx.Solver.FastSat
-	ex.Solver.FastUnsat += sx.Solver.FastUnsat
 	ex.Solver.Evictions += sx.Solver.Evictions
 	ex.Solver.SharedHits += sx.Solver.SharedHits
 	ex.Solver.SharedMisses += sx.Solver.SharedMisses
@@ -247,7 +245,6 @@ func newFrontier(ex *Executor, width, workers int) *frontier {
 		if i > 0 {
 			cs = solver.NewCached(solver.New())
 			cs.Shared = shared
-			cs.FastPaths = ex.Opts.SolverFastPaths
 		}
 		sx := ex.newSlot(group.Lane(i), cs)
 		// Buffered visit counters: plain increments during the quantum,
