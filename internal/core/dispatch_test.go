@@ -10,16 +10,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/apps"
 	"repro/internal/dispatch"
 	"repro/internal/symexec/snapshot"
-	"repro/internal/trace"
-	"repro/internal/workload"
 )
-
-// dispatchApps is the five-app differential surface: every evaluation
-// workload the digest invariant is pinned on.
-var dispatchApps = []string{"polymorph", "ctree", "thttpd", "grep", "msgtool"}
 
 // startCoreWorker serves real attempt units (NewDispatchRunner) on a unix
 // socket, exactly like `symexec -serve-worker` does in its own process.
@@ -35,101 +28,13 @@ func startCoreWorker(t *testing.T, wc WorkerConfig) string {
 	return addr
 }
 
-func dispatchCorpus(t *testing.T, name string) (*apps.App, *trace.Corpus) {
-	t.Helper()
-	app, err := apps.Get(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	corpus, err := workload.BuildCorpus(app, workload.Options{SampleRate: 0.3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return app, corpus
-}
-
-// requireSameOutcomes compares two reports field-for-field the way the
-// parallel determinism test does: everything must match except the
-// wall-clock fields (Elapsed, SolverTime) and the dispatch telemetry.
-func requireSameOutcomes(t *testing.T, label string, ref, got *Report) {
-	t.Helper()
-	if rd, gd := DetectionDigest(ref), DetectionDigest(got); rd != gd {
-		t.Errorf("%s: detection digest diverged:\n--- reference ---\n%s--- %s ---\n%s", label, rd, label, gd)
-	}
-	if got.TotalPaths != ref.TotalPaths || got.TotalSteps != ref.TotalSteps {
-		t.Errorf("%s: totals diverged: reference (%d paths, %d steps), got (%d paths, %d steps)",
-			label, ref.TotalPaths, ref.TotalSteps, got.TotalPaths, got.TotalSteps)
-	}
-	if len(got.Candidates) != len(ref.Candidates) {
-		t.Fatalf("%s: attempted candidates: reference %d, got %d", label, len(ref.Candidates), len(got.Candidates))
-	}
-	for i := range ref.Candidates {
-		r, g := ref.Candidates[i], got.Candidates[i]
-		r.Elapsed, g.Elapsed = 0, 0
-		r.SolverTime, g.SolverTime = 0, 0
-		if r != g {
-			t.Errorf("%s: candidate %d outcome diverged:\n  reference %+v\n  got       %+v", label, i+1, r, g)
-		}
-	}
-}
-
-// TestDispatchDifferential pins the tentpole invariant on all five
-// evaluation apps: the detection digest (and every deterministic outcome
-// counter) is byte-identical whether candidates are verified by the
-// sequential reference loop, the default one-local-slot pool, a local-only
-// dispatch pool, one or two real worker processes, or a mixed topology
-// with local parallelism — and at least one unit is actually stolen by a
-// worker across the sweep.
-func TestDispatchDifferential(t *testing.T) {
-	totalRemote := 0
-	for _, name := range dispatchApps {
-		t.Run(name, func(t *testing.T) {
-			app, corpus := dispatchCorpus(t, name)
-			base := Config{Spec: app.Spec}
-			ref, err := runSequentialOracle(app.Program(), corpus, base)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			w1 := startCoreWorker(t, WorkerConfig{})
-			w2 := startCoreWorker(t, WorkerConfig{})
-			topologies := []struct {
-				label string
-				cfg   func(Config) Config
-			}{
-				{"one-local-slot", func(c Config) Config { return c }},
-				{"dispatch-local-only", func(c Config) Config { c.Dispatch = true; return c }},
-				{"dispatch-1-worker", func(c Config) Config { c.Dispatch = true; c.WorkerAddrs = []string{w1}; return c }},
-				{"dispatch-2-workers", func(c Config) Config { c.Dispatch = true; c.WorkerAddrs = []string{w1, w2}; return c }},
-				{"dispatch-mixed", func(c Config) Config {
-					c.Dispatch = true
-					c.WorkerAddrs = []string{w1, w2}
-					c.Parallel = 2
-					return c
-				}},
-			}
-			for _, topo := range topologies {
-				got, err := runCorpus(context.Background(), app.Program(), corpus, topo.cfg(base))
-				if err != nil {
-					t.Fatalf("%s: %v", topo.label, err)
-				}
-				requireSameOutcomes(t, topo.label, ref, got)
-				totalRemote += got.DispatchRemote
-			}
-		})
-	}
-	if totalRemote == 0 {
-		t.Error("no unit was ever stolen by a worker across the whole differential sweep")
-	}
-}
-
 // TestDispatchWorkerCrashRecovery kills the worker mid-unit — the
 // connection drops after the unit is accepted, as if the process died — and
 // requires (a) the unit to be re-dispatched locally, and (b) the detection
 // digest to stay byte-identical: a lost worker costs speed, never a
 // detection.
 func TestDispatchWorkerCrashRecovery(t *testing.T) {
-	app, corpus := dispatchCorpus(t, "polymorph")
+	app, corpus := appCorpus(t, "polymorph")
 	base := Config{Spec: app.Spec}
 	ref, err := runSequentialOracle(app.Program(), corpus, base)
 	if err != nil {
@@ -174,7 +79,7 @@ func TestDispatchWorkerCrashRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameOutcomes(t, "crashing-worker", ref, got)
+		holds(t, ref, row{"crashing-worker", got}, sameDigest, sameOutcomes)
 		if got.DispatchRemote != 0 {
 			t.Errorf("crashing worker completed %d units", got.DispatchRemote)
 		}
@@ -189,7 +94,7 @@ func TestDispatchWorkerCrashRecovery(t *testing.T) {
 // replies) must be cut off by UnitDeadline and its unit re-run locally,
 // with the digest unchanged.
 func TestDispatchDeadlineRecovery(t *testing.T) {
-	app, corpus := dispatchCorpus(t, "polymorph")
+	app, corpus := appCorpus(t, "polymorph")
 	base := Config{Spec: app.Spec}
 	ref, err := runSequentialOracle(app.Program(), corpus, base)
 	if err != nil {
@@ -226,7 +131,7 @@ func TestDispatchDeadlineRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameOutcomes(t, "hung-worker", ref, got)
+	holds(t, ref, row{"hung-worker", got}, sameDigest, sameOutcomes)
 	if got.DispatchRemote != 0 {
 		t.Errorf("hung worker completed %d units", got.DispatchRemote)
 	}
@@ -234,7 +139,7 @@ func TestDispatchDeadlineRecovery(t *testing.T) {
 
 // TestAttemptUnitRoundTrip: the attempt unit and result codecs invert.
 func TestAttemptUnitRoundTrip(t *testing.T) {
-	app, corpus := dispatchCorpus(t, "polymorph")
+	app, corpus := appCorpus(t, "polymorph")
 	cfg := Config{Spec: app.Spec, Tau: 7, MinPredScore: 0.25,
 		PerCandidateMaxSteps: 12345, MaxStates: 99, Workers: 3, Scope: "all", Summaries: true}
 	rep, err := runCorpus(context.Background(), app.Program(), corpus, Config{Spec: app.Spec})
@@ -278,7 +183,7 @@ func TestAttemptUnitRoundTrip(t *testing.T) {
 // TestDispatchLogWritten: the -dispatch-log JSONL audit trail carries only
 // known events and ends with exactly one merge line.
 func TestDispatchLogWritten(t *testing.T) {
-	app, corpus := dispatchCorpus(t, "polymorph")
+	app, corpus := appCorpus(t, "polymorph")
 	w := startCoreWorker(t, WorkerConfig{})
 	logPath := filepath.Join(t.TempDir(), "dispatch.jsonl")
 	cfg := Config{Spec: app.Spec, Dispatch: true, WorkerAddrs: []string{w}, DispatchLog: logPath}

@@ -13,105 +13,12 @@ import (
 	"repro/internal/workload"
 )
 
-// TestPersistColdWarmDifferential pins the persistent solver cache's
-// correctness contract on every evaluation workload: a warm run served
-// from disk — and a run over a deliberately corrupted store — must
-// produce byte-identical detection digests to the cold run that filled
-// it. The cache may only change how long detection takes.
-func TestPersistColdWarmDifferential(t *testing.T) {
-	for _, name := range []string{"polymorph", "ctree", "thttpd", "grep", "msgtool"} {
-		t.Run(name, func(t *testing.T) {
-			app, err := apps.Get(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			corpus, err := workload.BuildCorpus(app, workload.Options{SampleRate: 0.3, Seed: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			dir := t.TempDir()
-
-			cold, err := runCorpus(context.Background(), app.Program(), corpus, Config{Spec: app.Spec, CacheDir: dir})
-			if err != nil {
-				t.Fatal(err)
-			}
-			refDigest := DetectionDigest(cold)
-			if cold.PersistLoaded != 0 {
-				t.Fatalf("cold run loaded %d entries from a fresh store", cold.PersistLoaded)
-			}
-			if cold.PersistSpilled == 0 {
-				t.Fatal("cold run spilled nothing — warm start has nothing to work with")
-			}
-
-			warm, err := runCorpus(context.Background(), app.Program(), corpus, Config{Spec: app.Spec, CacheDir: dir})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := DetectionDigest(warm); got != refDigest {
-				t.Errorf("warm digest diverged:\n--- cold ---\n%s--- warm ---\n%s", refDigest, got)
-			}
-			if warm.PersistLoaded == 0 {
-				t.Error("warm run loaded nothing from the store")
-			}
-			if warm.PersistRejected != 0 {
-				t.Errorf("warm run rejected %d entries from a clean store", warm.PersistRejected)
-			}
-			if cold.StatsCached {
-				t.Error("cold run claims a stats-cache replay")
-			}
-			if !warm.StatsCached {
-				t.Error("warm run did not replay the memoized stats phase")
-			}
-
-			// Poison the store on disk: flip a byte in the middle of every
-			// sealed segment. Re-verification must reject the damage and the
-			// run must fall back to solving — same digest, zero trust.
-			segs, err := filepath.Glob(filepath.Join(dir, "*"+persist.SegmentSuffix))
-			if err != nil || len(segs) == 0 {
-				t.Fatalf("no sealed segments to corrupt (err=%v)", err)
-			}
-			for _, seg := range segs {
-				blob, err := os.ReadFile(seg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				blob[len(blob)/2] ^= 0xFF
-				if err := os.WriteFile(seg, blob, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			poisoned, err := runCorpus(context.Background(), app.Program(), corpus, Config{Spec: app.Spec, CacheDir: dir})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := DetectionDigest(poisoned); got != refDigest {
-				t.Errorf("poisoned-cache digest diverged:\n--- cold ---\n%s--- poisoned ---\n%s", refDigest, got)
-			}
-			// Every segment was damaged, so the full persisted set cannot
-			// have loaded cleanly: either the damaged block rejected, or the
-			// load aborted partway (blocks before the flip are intact —
-			// partial warm start is fine, it only costs speed).
-			total := cold.PersistSpilled + warm.PersistSpilled
-			if poisoned.PersistLoaded >= total && poisoned.PersistRejected == 0 {
-				t.Errorf("corrupted store served all %d entries with no rejections", poisoned.PersistLoaded)
-			}
-		})
-	}
-}
-
 // TestStatsCacheFallbacks pins the memoized stats phase's degradation
 // modes: a corrupted artifact falls back to derivation (digest intact), a
 // different corpus misses (content-keyed, not provenance-keyed), and
 // NeedGraph bypasses the memo so the transition graph is always built.
 func TestStatsCacheFallbacks(t *testing.T) {
-	app, err := apps.Get("polymorph")
-	if err != nil {
-		t.Fatal(err)
-	}
-	corpus, err := workload.BuildCorpus(app, workload.Options{SampleRate: 0.3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	app, corpus := appCorpus(t, "polymorph")
 	dir := t.TempDir()
 	cold, err := runCorpus(context.Background(), app.Program(), corpus, Config{Spec: app.Spec, CacheDir: dir})
 	if err != nil {
@@ -172,14 +79,7 @@ func TestStatsCacheFallbacks(t *testing.T) {
 // unchanged program, the plan reports no changes and the run is a full
 // warm run — nothing skipped, digest intact.
 func TestPersistIncrementalNoChanges(t *testing.T) {
-	app, err := apps.Get("polymorph")
-	if err != nil {
-		t.Fatal(err)
-	}
-	corpus, err := workload.BuildCorpus(app, workload.Options{SampleRate: 0.3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	app, corpus := appCorpus(t, "polymorph")
 	dir := t.TempDir()
 
 	plan, err := PlanIncremental(dir, app.Program())

@@ -13,14 +13,7 @@ import (
 // runPipeline executes the StatSym pipeline on an app at 30% sampling.
 func runPipeline(t *testing.T, name string, cfg Config) *Report {
 	t.Helper()
-	app, err := apps.Get(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	corpus, err := workload.BuildCorpus(app, workload.Options{SampleRate: 0.3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	app, corpus := appCorpus(t, name)
 	if cfg.Spec == nil {
 		cfg.Spec = app.Spec
 	}
@@ -210,5 +203,16 @@ func TestGuidedBeatsPureOnPaths(t *testing.T) {
 	if rep.TotalPaths*10 > pure.Paths {
 		t.Errorf("guided explored %d paths vs pure %d; expected at least 10x reduction",
 			rep.TotalPaths, pure.Paths)
+	}
+}
+
+// TestScopePolicyInvalidSpec: an invalid scope spec surfaces as a pipeline
+// error. That a valid scope havocking only functions off the vulnerable
+// path keeps the detection digest is the OffPathHavoc engine contract.
+func TestScopePolicyInvalidSpec(t *testing.T) {
+	app, corpus := appCorpus(t, "polymorph")
+	_, err := runCorpus(context.Background(), app.Program(), corpus, Config{Spec: app.Spec, Scope: "all,bogusmix"})
+	if err == nil {
+		t.Fatal("invalid scope spec should fail the pipeline")
 	}
 }
