@@ -47,13 +47,17 @@ var memoConfigs = map[string]Config{
 
 // goldenRow is one app's recorded detection at rate 0.3, seed 1.
 type goldenRow struct {
-	token string
-	steps int64
-	paths int
+	token                string
+	steps                int64
+	paths                int
+	hits, misses, checks int
 }
 
 // golden is the reference column of the GoldenDigests contract: each app's
-// DigestToken, TotalSteps and TotalPaths under four configurations. The
+// DigestToken, TotalSteps, TotalPaths, cache hits, cache misses and solver
+// checks under four configurations. The cache columns pin the executor's
+// constraint-check path: every component lookup of every query is counted,
+// so a change to how path conditions are split or keyed moves them. The
 // engine contracts compare engines with each other within one build; this
 // table also catches a change that shifts every engine together. The
 // values were recorded from the separate sequential, parallel and dispatch
@@ -65,40 +69,40 @@ type goldenRow struct {
 // path.
 var golden = map[string]map[string]goldenRow{
 	"polymorph": {
-		"sequential":          {"0f42d7cd2c3f896b", 9482, 2},
-		"parallel-2":          {"0f42d7cd2c3f896b", 9482, 2},
-		"workers-2":           {"0f42d7cd2c3f896b", 37186, 3},
-		"dispatch-local-only": {"0f42d7cd2c3f896b", 9482, 2},
+		"sequential":          {"0f42d7cd2c3f896b", 9482, 2, 7, 13, 13},
+		"parallel-2":          {"0f42d7cd2c3f896b", 9482, 2, 7, 13, 13},
+		"workers-2":           {"0f42d7cd2c3f896b", 37186, 3, 9, 31, 31},
+		"dispatch-local-only": {"0f42d7cd2c3f896b", 9482, 2, 7, 13, 13},
 	},
 	"ctree": {
-		"sequential":          {"4defe7ff3b81aa9a", 1205, 1},
-		"parallel-2":          {"4defe7ff3b81aa9a", 1205, 1},
-		"workers-2":           {"4defe7ff3b81aa9a", 4533, 1},
-		"dispatch-local-only": {"4defe7ff3b81aa9a", 1205, 1},
+		"sequential":          {"4defe7ff3b81aa9a", 1205, 1, 10, 8, 8},
+		"parallel-2":          {"4defe7ff3b81aa9a", 1205, 1, 10, 8, 8},
+		"workers-2":           {"4defe7ff3b81aa9a", 4533, 1, 358, 93, 93},
+		"dispatch-local-only": {"4defe7ff3b81aa9a", 1205, 1, 10, 8, 8},
 	},
 	"thttpd": {
-		"sequential":          {"26f2b6e639bca9d2", 49641, 1},
-		"parallel-2":          {"26f2b6e639bca9d2", 49641, 1},
-		"workers-2":           {"26f2b6e639bca9d2", 309300, 1},
-		"dispatch-local-only": {"26f2b6e639bca9d2", 49641, 1},
+		"sequential":          {"26f2b6e639bca9d2", 49641, 1, 574522, 2471, 2471},
+		"parallel-2":          {"26f2b6e639bca9d2", 49641, 1, 574522, 2471, 2471},
+		"workers-2":           {"26f2b6e639bca9d2", 309300, 1, 2867735, 13158, 13158},
+		"dispatch-local-only": {"26f2b6e639bca9d2", 49641, 1, 574522, 2471, 2471},
 	},
 	"grep": {
-		"sequential":          {"d83b6872c40dff5c", 1278443, 1},
-		"parallel-2":          {"d83b6872c40dff5c", 1278443, 1},
-		"workers-2":           {"d83b6872c40dff5c", 1277825, 1},
-		"dispatch-local-only": {"d83b6872c40dff5c", 1278443, 1},
+		"sequential":          {"d83b6872c40dff5c", 1278443, 1, 369059, 165, 165},
+		"parallel-2":          {"d83b6872c40dff5c", 1278443, 1, 369059, 165, 165},
+		"workers-2":           {"d83b6872c40dff5c", 1277825, 1, 367516, 500, 500},
+		"dispatch-local-only": {"d83b6872c40dff5c", 1278443, 1, 369059, 165, 165},
 	},
 	"msgtool": {
-		"sequential":          {"1d791072cc29b364", 1602, 2},
-		"parallel-2":          {"1d791072cc29b364", 1602, 2},
-		"workers-2":           {"fc6ccb0e527f909a", 1355, 5},
-		"dispatch-local-only": {"1d791072cc29b364", 1602, 2},
+		"sequential":          {"1d791072cc29b364", 1602, 2, 5, 10, 10},
+		"parallel-2":          {"1d791072cc29b364", 1602, 2, 5, 10, 10},
+		"workers-2":           {"fc6ccb0e527f909a", 1355, 5, 26, 22, 22},
+		"dispatch-local-only": {"1d791072cc29b364", 1602, 2, 5, 10, 10},
 	},
 	"billing": {
-		"sequential":          {"7dad683cba7691f4", 202, 1},
-		"parallel-2":          {"7dad683cba7691f4", 202, 1},
-		"workers-2":           {"7dad683cba7691f4", 297, 3},
-		"dispatch-local-only": {"7dad683cba7691f4", 202, 1},
+		"sequential":          {"7dad683cba7691f4", 202, 1, 2, 8, 8},
+		"parallel-2":          {"7dad683cba7691f4", 202, 1, 2, 8, 8},
+		"workers-2":           {"7dad683cba7691f4", 297, 3, 2, 14, 14},
+		"dispatch-local-only": {"7dad683cba7691f4", 202, 1, 2, 8, 8},
 	},
 }
 
@@ -398,13 +402,17 @@ func replays(t *testing.T, app *apps.App, r row) {
 	}
 }
 
-// pinned: the golden column's digest token, steps and paths.
+// pinned: the golden column's digest token, steps, paths and solver-cache
+// traffic (hits, misses, and checks summed over the candidates).
 func pinned(t *testing.T, _ *Report, got row) {
 	t.Helper()
-	g := goldenRow{DigestToken(got.rep), got.rep.TotalSteps, got.rep.TotalPaths}
-	if want := golden[got.rep.Program][got.label]; g != want {
-		t.Errorf("%s: got token=%s steps=%d paths=%d, want token=%s steps=%d paths=%d",
-			got.label, g.token, g.steps, g.paths, want.token, want.steps, want.paths)
+	r := got.rep
+	g := goldenRow{DigestToken(r), r.TotalSteps, r.TotalPaths, r.CacheHits, r.CacheMisses, 0}
+	for _, c := range r.Candidates {
+		g.checks += c.SolverChecks
+	}
+	if want := golden[r.Program][got.label]; g != want {
+		t.Errorf("%s: got %+v, want %+v", got.label, g, want)
 	}
 }
 
