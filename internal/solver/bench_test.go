@@ -84,26 +84,6 @@ func BenchmarkCheckWideConjunction(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckPartitionedWide measures the same conjunction through the
-// independence optimization with caching.
-func BenchmarkCheckPartitionedWide(b *testing.B) {
-	tbl := NewVarTable()
-	length := tbl.NewVarBounded("len", 0, 1200)
-	cons := []Constraint{Ge(VarExpr(length), ConstExpr(1000))}
-	for i := 0; i < 200; i++ {
-		bv := tbl.NewVarBounded("b", 0, 255)
-		cons = append(cons, Ne(VarExpr(bv), ConstExpr('<')))
-		cons = append(cons, Ne(VarExpr(bv), ConstExpr('>')))
-	}
-	cs := NewCached(New())
-	b.ReportAllocs()
-	for n := 0; n < b.N; n++ {
-		if res, _ := cs.CheckPartitioned(tbl, cons); res != Sat {
-			b.Fatal(res)
-		}
-	}
-}
-
 // BenchmarkCacheHit measures the memoized path.
 func BenchmarkCacheHit(b *testing.B) {
 	tbl := NewVarTable()
@@ -193,48 +173,6 @@ func BenchmarkHashDigestIncremental(b *testing.B) {
 	for n := 0; n < b.N; n++ {
 		if base.Add(HashConstraint(last)).Sum == 0 {
 			b.Fatal("zero digest")
-		}
-	}
-}
-
-// BenchmarkCheckPartitionedCachedHot replays one conjunction through the
-// full cache stack (steady state: every component hits).
-func BenchmarkCheckPartitionedCachedHot(b *testing.B) {
-	tbl := NewVarTable()
-	length := tbl.NewVarBounded("len", 0, 1200)
-	cons := []Constraint{Ge(VarExpr(length), ConstExpr(1000))}
-	for i := 0; i < 64; i++ {
-		bv := tbl.NewVarBounded("b", 0, 255)
-		cons = append(cons, Ne(VarExpr(bv), ConstExpr('<')))
-	}
-	cs := NewCached(New())
-	if res, _ := cs.CheckPartitioned(tbl, cons); res != Sat {
-		b.Fatal(res)
-	}
-	b.ReportAllocs()
-	for n := 0; n < b.N; n++ {
-		if res, _ := cs.CheckPartitioned(tbl, cons); res != Sat {
-			b.Fatal(res)
-		}
-	}
-}
-
-// BenchmarkCheckPartitionedUncached is the same query with every cache
-// layer disabled — the ablation baseline the ≥2x win is measured against.
-func BenchmarkCheckPartitionedUncached(b *testing.B) {
-	tbl := NewVarTable()
-	length := tbl.NewVarBounded("len", 0, 1200)
-	cons := []Constraint{Ge(VarExpr(length), ConstExpr(1000))}
-	for i := 0; i < 64; i++ {
-		bv := tbl.NewVarBounded("b", 0, 255)
-		cons = append(cons, Ne(VarExpr(bv), ConstExpr('<')))
-	}
-	cs := NewCached(New())
-	cs.Disabled = true
-	b.ReportAllocs()
-	for n := 0; n < b.N; n++ {
-		if res, _ := cs.CheckPartitioned(tbl, cons); res != Sat {
-			b.Fatal(res)
 		}
 	}
 }

@@ -83,6 +83,9 @@ func (d Digest) Add(h uint64) Digest { return Digest{Sum: d.Sum + h, N: d.N + 1}
 // must only remove hashes previously added.
 func (d Digest) Remove(h uint64) Digest { return Digest{Sum: d.Sum - h, N: d.N - 1} }
 
+// Join returns the digest of the union of two disjoint multisets.
+func (d Digest) Join(o Digest) Digest { return Digest{Sum: d.Sum + o.Sum, N: d.N + o.N} }
+
 // DigestOf computes the digest of a conjunction from scratch.
 func DigestOf(cons []Constraint) Digest {
 	var sum uint64

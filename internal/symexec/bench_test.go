@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/bytecode"
 	"repro/internal/solver"
-	"repro/internal/trace"
 )
 
 // BenchmarkSymexecConcreteChain measures single-path symbolic execution
@@ -101,57 +100,47 @@ func benchForkState(depth, localsPerFrame, nCons int) *State {
 	st.setBufCell(buf, 0, IntVal(1))
 	for i := 0; i < nCons; i++ {
 		v := tbl.NewVarBounded("v", 0, 255)
-		c := solver.Ge(solver.VarExpr(v), solver.ConstExpr(int64(i%16)))
-		st.appendConstraint(c)
-		st.noteVars(c)
+		st.AddConstraint(solver.Ge(solver.VarExpr(v), solver.ConstExpr(int64(i%16))))
 	}
 	return st
 }
 
 // legacyFork reproduces the pre-copy-on-write fork: deep-copy every frame,
-// the globals, the constraint and trace slices, the bookkeeping maps and
-// the buffer heap. Kept as the benchmark baseline for State.fork.
+// the globals, every chunk of the path condition, its index and the
+// trace, and the buffer heap. Components need no copy: the fresh owner
+// token freezes them. Kept as the benchmark baseline for State.fork.
 func legacyFork(st *State) *State {
 	ns := &State{ID: -1, Status: StatusActive, Depth: st.Depth,
 		PathIndex: st.PathIndex, Diverted: st.Diverted, Revived: st.Revived,
-		LastModel: st.LastModel, pcDigest: st.pcDigest}
+		LastModel: st.LastModel, tok: new(ownerToken)}
 	ns.Frames = make([]*Frame, len(st.Frames))
 	for i, f := range st.Frames {
 		ns.Frames[i] = f.ownedCopy()
 	}
 	ns.Globals = append([]Value(nil), st.Globals...)
-	ns.Constraints = make([]solver.Constraint, len(st.Constraints), len(st.Constraints)+4)
-	copy(ns.Constraints, st.Constraints)
-	ns.Trace = make([]trace.Location, len(st.Trace), len(st.Trace)+4)
-	copy(ns.Trace, st.Trace)
-	if st.pcVars != nil {
-		ns.pcVars = make(map[solver.Var]struct{}, len(st.pcVars))
-		for v := range st.pcVars {
-			ns.pcVars[v] = struct{}{}
-		}
-	}
-	if st.bounds != nil {
-		ns.bounds = make(map[solver.Var]VarBounds, len(st.bounds))
-		for v, b := range st.bounds {
-			ns.bounds[v] = b
-		}
-	}
+	pc := st.pc()
+	ns.path = &pathStore{owner: ns.tok,
+		pc: pathCond{cons: deepCopyVec(pc.cons, ns.tok), comps: deepCopyVec(pc.comps, ns.tok),
+			vars: deepCopyVec(pc.vars, ns.tok), ground: pc.ground, digest: pc.digest},
+		trace: deepCopyVec(st.store().trace, ns.tok)}
 	if st.heap != nil {
 		ns.heap = make(map[*SymBuffer]*bufCells, len(st.heap))
-		ns.heapTok = new(heapToken)
 		for b, c := range st.heap {
-			nc := &bufCells{owner: ns.heapTok, smeared: c.smeared,
-				chunks: make([]*cellChunk, len(c.chunks))}
-			for i, ch := range c.chunks {
-				if ch != nil {
-					nch := &cellChunk{owner: ns.heapTok, data: ch.data}
-					nc.chunks[i] = nch
-				}
-			}
-			ns.heap[b] = nc
+			ns.heap[b] = &bufCells{owner: ns.tok, cells: deepCopyVec(c.cells, ns.tok), smeared: c.smeared}
 		}
 	}
 	return ns
+}
+
+// deepCopyVec copies every chunk of v under tok.
+func deepCopyVec[T any](v cowVec[T], tok *ownerToken) cowVec[T] {
+	out := cowVec[T]{chunks: make([]*vecChunk[T], len(v.chunks)), own: tok, n: v.n}
+	for i, ch := range v.chunks {
+		if ch != nil {
+			out.chunks[i] = &vecChunk[T]{owner: tok, data: copyTo(ch.data, 0, 0)}
+		}
+	}
+	return out
 }
 
 // BenchmarkForkDeepCopy is the old eager fork on a deep state.
@@ -188,8 +177,43 @@ func BenchmarkForkCoWThenTouch(b *testing.B) {
 	b.ReportAllocs()
 	for n := 0; n < b.N; n++ {
 		child := st.fork()
-		child.appendConstraint(c)
-		child.noteVars(c)
+		child.AddConstraint(c)
 		child.Top().Locals[0] = IntVal(int64(n))
+	}
+}
+
+// BenchmarkFullQuery is guided-deep's full-query shape: a state whose
+// path condition holds 1,200 constraints in 570 components forks, the
+// child commits a branch condition, and a full check of a new condition
+// runs against the whole path condition. Only the component the condition
+// joins re-solves; the other 569 hit the query cache.
+func BenchmarkFullQuery(b *testing.B) {
+	prog := bytecode.MustCompile("fq", `func main() int { return 0; }`)
+	ex := New(prog, nil, DefaultOptions())
+	st := &State{Status: StatusActive, Frames: []*Frame{{Fn: prog.Funcs[prog.MainIndex]}}}
+	const comps = 570
+	vars := make([]solver.Var, comps)
+	for i := range vars {
+		vars[i] = ex.Table.NewVarBounded("b", 0, 255)
+		st.AddConstraint(solver.Ne(solver.VarExpr(vars[i]), solver.ConstExpr('<')))
+		st.AddConstraint(solver.Ne(solver.VarExpr(vars[i]), solver.ConstExpr('>')))
+	}
+	for i := 0; i < 60; i++ {
+		st.AddConstraint(solver.Le(solver.VarExpr(vars[i]), solver.ConstExpr(200)))
+	}
+	query := func(n int) {
+		child := st.fork()
+		ex.commit(child, nil, solver.Ne(solver.VarExpr(vars[n*7%comps]), solver.ConstExpr('&')))
+		if ok, _ := ex.satisfiable(child, solver.Le(solver.VarExpr(vars[n%comps]), solver.ConstExpr(100))); !ok {
+			b.Fatal("full query refuted")
+		}
+	}
+	for n := 0; n < comps*7; n++ {
+		query(n) // warm the cache with every component the loop touches
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		query(n)
 	}
 }

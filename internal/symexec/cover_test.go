@@ -172,8 +172,8 @@ func TestStateAddConstraintAndSeq(t *testing.T) {
 	tbl := solver.NewVarTable()
 	x := tbl.NewVar("x")
 	st.AddConstraint(solver.Ge(solver.VarExpr(x), solver.ConstExpr(1)))
-	if len(st.Constraints) != 1 {
-		t.Errorf("constraints = %d", len(st.Constraints))
+	if n := len(st.Constraints()); n != 1 {
+		t.Errorf("constraints = %d", n)
 	}
 	if st.Seq() != 0 {
 		t.Errorf("zero state Seq = %d", st.Seq())

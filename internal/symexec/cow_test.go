@@ -1,6 +1,7 @@
 package symexec
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/bytecode"
@@ -24,8 +25,8 @@ func cowState(t *testing.T) (*State, *solver.VarTable, solver.Var) {
 		},
 		Globals: []Value{IntVal(7), IntVal(8)},
 	}
-	st.appendConstraint(solver.Ge(solver.VarExpr(x), solver.ConstExpr(0)))
-	st.appendConstraint(solver.Le(solver.VarExpr(x), solver.ConstExpr(100)))
+	st.AddConstraint(solver.Ge(solver.VarExpr(x), solver.ConstExpr(0)))
+	st.AddConstraint(solver.Le(solver.VarExpr(x), solver.ConstExpr(100)))
 	return st, tbl, x
 }
 
@@ -33,7 +34,7 @@ func cowState(t *testing.T) (*State, *solver.VarTable, solver.Var) {
 // the path condition.
 func digestInvariant(t *testing.T, st *State, label string) {
 	t.Helper()
-	if got, want := st.PCDigest(), solver.DigestOf(st.Constraints); got != want {
+	if got, want := st.PCDigest(), solver.DigestOf(st.Constraints()); got != want {
 		t.Fatalf("%s: pcDigest %+v != DigestOf %+v", label, got, want)
 	}
 }
@@ -133,28 +134,37 @@ func TestForkConstraintPrefixSharing(t *testing.T) {
 	st, tbl, x := cowState(t)
 	y := tbl.NewVar("y")
 	child := st.fork()
-	if len(child.Constraints) != 2 {
-		t.Fatalf("child constraints = %d, want 2", len(child.Constraints))
+	if n := len(child.Constraints()); n != 2 {
+		t.Fatalf("child constraints = %d, want 2", n)
 	}
-	// Parent appends in place (capacity permitting) or reallocates; either
-	// way the child's clamped view never sees it.
-	st.appendConstraint(solver.Ge(solver.VarExpr(y), solver.ConstExpr(1)))
-	if len(child.Constraints) != 2 {
-		t.Fatalf("parent append visible to child: %d constraints", len(child.Constraints))
+	if st.pc().cons.chunks[0] != child.pc().cons.chunks[0] {
+		t.Fatal("constraint chunk not shared after fork")
+	}
+	// The parent's append goes through a chunk header of its own; the
+	// child's view keeps the frozen original.
+	st.AddConstraint(solver.Ge(solver.VarExpr(y), solver.ConstExpr(1)))
+	if n := len(child.Constraints()); n != 2 {
+		t.Fatalf("parent append visible to child: %d constraints", n)
+	}
+	if st.pc().cons.chunks[0] == child.pc().cons.chunks[0] {
+		t.Fatal("parent appended into a chunk shared with the child")
 	}
 	digestInvariant(t, st, "parent after append")
 	digestInvariant(t, child, "child after parent append")
-	// Child appends independently (its view is at capacity, so this
-	// reallocates) without disturbing the parent's third constraint.
-	child.appendConstraint(solver.Le(solver.VarExpr(y), solver.ConstExpr(9)))
-	if got := st.Constraints[2].String(tbl); got != solver.Ge(solver.VarExpr(y), solver.ConstExpr(1)).String(tbl) {
+	// The child appends independently without disturbing the parent's
+	// third constraint.
+	child.AddConstraint(solver.Le(solver.VarExpr(y), solver.ConstExpr(9)))
+	if got := st.Constraints()[2].String(tbl); got != solver.Ge(solver.VarExpr(y), solver.ConstExpr(1)).String(tbl) {
 		t.Errorf("parent constraint clobbered by child append: %s", got)
 	}
 	digestInvariant(t, child, "child after own append")
 	// In-place compaction inside the shared prefix must copy first.
 	tighter := solver.Ge(solver.VarExpr(x), solver.ConstExpr(5))
-	st.replaceConstraint(0, tighter)
-	if child.Constraints[0].String(tbl) == tighter.String(tbl) {
+	st.AddConstraint(tighter)
+	if got := st.Constraints()[0].String(tbl); got != tighter.String(tbl) {
+		t.Fatalf("compaction did not replace the bound: %s", got)
+	}
+	if child.Constraints()[0].String(tbl) == tighter.String(tbl) {
 		t.Error("parent compaction leaked into child's shared prefix")
 	}
 	digestInvariant(t, st, "parent after compaction")
@@ -164,33 +174,68 @@ func TestForkConstraintPrefixSharing(t *testing.T) {
 func TestForkVarsBookkeepingIsolation(t *testing.T) {
 	st, tbl, x := cowState(t)
 	y := tbl.NewVar("y")
-	st.noteVars(solver.Ge(solver.VarExpr(x), solver.ConstExpr(0)))
 	child := st.fork()
-	// Parent notes a new variable; the child's view must not gain it.
-	st.noteVars(solver.Ge(solver.VarExpr(y), solver.ConstExpr(1)))
-	if child.mentions(y) {
-		t.Error("child pcVars mutated through parent")
+	// Parent constrains a new variable; the child's index must not gain it.
+	st.AddConstraint(solver.Ge(solver.VarExpr(y), solver.ConstExpr(1)))
+	if child.pc().mentions(y) {
+		t.Error("child variable index mutated through parent")
 	}
-	if !st.mentions(y) || !st.mentions(x) || !child.mentions(x) {
+	if !st.pc().mentions(y) || !st.pc().mentions(x) || !child.pc().mentions(x) {
 		t.Error("mention bookkeeping lost")
+	}
+	if b := child.pc().bounds(y); b.HasLo {
+		t.Errorf("child bounds gained the parent's bound on y: %+v", b)
+	}
+	if b := st.pc().bounds(y); !b.HasLo || b.Lo != 1 {
+		t.Errorf("parent bounds on y = %+v, want lo 1", b)
 	}
 }
 
 // TestForkDigestMatchesRebuild drives a deeper interleaving of forks,
 // appends and compactions and re-checks the digest invariant at each step.
 func TestForkDigestMatchesRebuild(t *testing.T) {
-	st, tbl, _ := cowState(t)
+	st, tbl, x := cowState(t)
 	states := []*State{st}
 	for i := 0; i < 4; i++ {
 		v := tbl.NewVar("g")
 		next := states[len(states)-1]
 		child := next.fork()
-		child.appendConstraint(solver.Ge(solver.VarExpr(v), solver.ConstExpr(int64(i))))
-		next.appendConstraint(solver.Le(solver.VarExpr(v), solver.ConstExpr(int64(i+10))))
-		next.replaceConstraint(0, solver.Ge(solver.VarExpr(v), solver.ConstExpr(int64(i-1))))
+		child.AddConstraint(solver.Ge(solver.VarExpr(v), solver.ConstExpr(int64(i))))
+		next.AddConstraint(solver.Le(solver.VarExpr(v), solver.ConstExpr(int64(i+10))))
+		next.AddConstraint(solver.Ge(solver.VarExpr(x), solver.ConstExpr(int64(i+1))))
 		states = append(states, child)
 	}
 	for i, s := range states {
 		digestInvariant(t, s, "state "+string(rune('0'+i)))
+	}
+}
+
+// TestCowVecTailClaim pins the append protocol of a frozen chunk: the first
+// state to append after a fork writes into the shared array's spare
+// capacity, the second copies, and neither sees the other's element.
+func TestCowVecTailClaim(t *testing.T) {
+	var parent cowVec[int]
+	tok := new(ownerToken)
+	for i := 0; i < 5; i++ {
+		parent.push(tok, i)
+	}
+	frozen := parent.chunks[0]
+	if len(frozen.data) == cap(frozen.data) {
+		t.Fatalf("chunk has no spare capacity (len %d)", len(frozen.data))
+	}
+	child := parent // a fork: both sides write under new tokens
+	parent.push(new(ownerToken), 50)
+	child.push(new(ownerToken), 60)
+	if &parent.chunks[0].data[0] != &frozen.data[0] {
+		t.Error("first append after the fork copied the chunk")
+	}
+	if &child.chunks[0].data[0] == &frozen.data[0] {
+		t.Error("second append after the fork shares the claimed array")
+	}
+	if got, want := parent.slice(), []int{0, 1, 2, 3, 4, 50}; !slices.Equal(got, want) {
+		t.Errorf("parent = %v, want %v", got, want)
+	}
+	if got, want := child.slice(), []int{0, 1, 2, 3, 4, 60}; !slices.Equal(got, want) {
+		t.Errorf("child = %v, want %v", got, want)
 	}
 }

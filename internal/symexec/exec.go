@@ -250,6 +250,10 @@ type Executor struct {
 	hops        *obs.Histogram
 	lastSnap    time.Time
 	suspensions int64
+
+	// query is the scratch space satisfiable assembles a query's
+	// components in.
+	query pcQuery
 }
 
 // New prepares an executor for prog with the given symbolic-input spec.
@@ -641,11 +645,17 @@ func allHold(cons []solver.Constraint, m solver.Model) bool {
 // satisfiable decides pc(st) ∧ extra. Three incremental fast paths avoid
 // most full solver queries on long loop chains:
 //
-//  1. model check: the extras already hold under the cached model;
+//  1. model check: the extras already hold under the cached model (and so
+//     does the path condition — only the part not yet verified under this
+//     model is evaluated);
 //  2. bounds refutation: a single-variable extra contradicts the interval
 //     the path condition implies for that variable;
 //  3. disjoint solve: extras whose variables the path condition does not
 //     mention are decided in isolation and their model merged.
+//
+// A full query hands the solver the state's components with the extras
+// merged into those they join (KLEE's independence optimization): only
+// those re-solve, the rest hit the query cache.
 func (ex *Executor) satisfiable(st *State, extra ...solver.Constraint) (bool, solver.Model) {
 	// Stamp the query with its origin function's content hash (persistence
 	// attribution; see Options.OriginHashes). The model-check shortcut
@@ -655,7 +665,7 @@ func (ex *Executor) satisfiable(st *State, extra ...solver.Constraint) (bool, so
 			ex.Solver.Origin = ex.Opts.OriginHashes[fn.Index]
 		}
 	}
-	if st.LastModel != nil && allHold(extra, st.LastModel) && allHold(st.Constraints, st.LastModel) {
+	if st.LastModel != nil && allHold(extra, st.LastModel) && st.pcHolds(st.LastModel) {
 		return true, st.LastModel
 	}
 	if ex.refutedByBounds(st, extra) {
@@ -678,19 +688,7 @@ func (ex *Executor) satisfiable(st *State, extra ...solver.Constraint) (bool, so
 		}
 		// Unknown: fall through to the full query.
 	}
-	query := make([]solver.Constraint, 0, len(st.Constraints)+len(extra))
-	query = append(query, st.Constraints...)
-	// The query digest extends the state's rolling path-condition digest,
-	// so the whole conjunction is never re-hashed.
-	qd := st.pcDigest
-	for _, c := range extra {
-		query = append(query, c)
-		qd = qd.Add(solver.HashConstraint(c))
-	}
-	// Independent-component solving (KLEE's independence optimization):
-	// only the components touched by the new constraints re-solve; the
-	// rest hit the query cache.
-	res, m := ex.Solver.CheckPartitionedDigestCtx(ex.runCtx(), ex.Table, query, qd)
+	res, m := ex.Solver.CheckComponents(ex.runCtx(), ex.Table, st.pc().components(&ex.query, extra))
 	switch res {
 	case solver.Sat:
 		return true, m
@@ -708,7 +706,7 @@ func (ex *Executor) satisfiable(st *State, extra ...solver.Constraint) (bool, so
 func (ex *Executor) disjointFromPC(st *State, extra []solver.Constraint) bool {
 	for _, c := range extra {
 		for _, tm := range c.E.Terms {
-			if st.mentions(tm.Var) {
+			if st.pc().mentions(tm.Var) {
 				return false
 			}
 		}
@@ -725,7 +723,7 @@ func (ex *Executor) refutedByBounds(st *State, extra []solver.Constraint) bool {
 		if !single || (coeff != 1 && coeff != -1) {
 			continue
 		}
-		b := st.bounds[v]
+		b := st.pc().bounds(v)
 		info := ex.Table.Info(v)
 		if info.HasLo && (!b.HasLo || info.Lo > b.Lo) {
 			b.Lo, b.HasLo = info.Lo, true
@@ -796,7 +794,7 @@ func (ex *Executor) TryAddConstraints(st *State, cons []solver.Constraint) bool 
 // existing binding.
 func (ex *Executor) seedModelValue(st *State, v solver.Var, val int64) {
 	if st.LastModel == nil {
-		if len(st.Constraints) > 0 {
+		if st.pc().len() > 0 {
 			return
 		}
 		st.LastModel = solver.Model{v: val}
@@ -833,33 +831,33 @@ func (ex *Executor) extendModel(st *State, v solver.Var, val int64) {
 		nm[k] = x
 	}
 	nm[v] = val
-	st.LastModel = nm
+	st.extendedModel(nm, v)
 }
 
-// addPathConstraint appends c, compacting single-variable bounds so loop
-// chains do not grow the path condition linearly (x ≥ 6 subsumes x ≥ 5).
+// addPathConstraint adds c to the path condition, compacting
+// single-variable bounds so loop chains do not grow it linearly (x ≥ 6
+// subsumes x ≥ 5, and replaces it in place).
 func addPathConstraint(st *State, c solver.Constraint) {
 	if c.IsTriviallyTrue() {
 		return
 	}
-	st.noteVars(c)
 	if v, coeff, ok := c.E.SingleVar(); ok && (coeff == 1 || coeff == -1) && c.Op == solver.OpLe {
-		for i, old := range st.Constraints {
-			if old.Op != solver.OpLe {
-				continue
-			}
-			ov, ocoeff, ook := old.E.SingleVar()
-			if !ook || ov != v || ocoeff != coeff {
-				continue
-			}
-			// Same form: coeff·v + k ≤ 0. Larger k is tighter.
-			if c.E.Const >= old.E.Const {
-				st.replaceConstraint(i, c)
+		pc := st.pc()
+		if i := pc.boundIndex(v, coeff); i >= 0 {
+			// Same form: coeff·v + k ≤ 0. Larger k is tighter; a looser
+			// bound changes nothing.
+			if c.E.Const >= pc.cons.at(i).E.Const {
+				p, tok := st.pathForWrite()
+				p.pc.replace(tok, i, c)
+				if i < st.held && !c.Holds(st.heldModel) {
+					st.held = i
+				}
 			}
 			return
 		}
 	}
-	st.appendConstraint(c)
+	p, tok := st.pathForWrite()
+	p.pc.add(tok, c)
 }
 
 // --- vulnerability reporting ---
@@ -873,17 +871,12 @@ func (ex *Executor) report(st *State, kind interp.FaultKind, pos minic.Pos, m so
 		}
 		m = mm
 	}
-	cons := make([]solver.Constraint, 0, len(st.Constraints)+len(extra))
-	cons = append(cons, st.Constraints...)
-	cons = append(cons, extra...)
-	path := make([]trace.Location, len(st.Trace))
-	copy(path, st.Trace)
 	v := &Vulnerability{
 		Kind:        kind,
 		Func:        st.CurrentFunc(),
 		Pos:         pos,
-		Path:        path,
-		Constraints: cons,
+		Path:        st.Trace(),
+		Constraints: append(st.Constraints(), extra...),
 		Model:       m,
 		Witness:     ex.inputs.witness(m),
 	}
@@ -913,7 +906,8 @@ func (ex *Executor) SymbolicInputs() []string { return ex.inputs.symbolicInputNa
 
 // fireLocation records a location crossing and runs the guidance hook.
 func (ex *Executor) fireLocation(st *State, loc trace.Location, ret *Value) HookDecision {
-	st.Trace = append(st.Trace, loc)
+	p, tok := st.pathForWrite()
+	p.trace.push(tok, loc)
 	if ex.Opts.Hook == nil {
 		return HookContinue
 	}

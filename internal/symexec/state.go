@@ -1,6 +1,7 @@
 package symexec
 
 import (
+	"reflect"
 	"sync/atomic"
 
 	"repro/internal/bytecode"
@@ -61,11 +62,10 @@ func (f *Frame) ownedCopy() *Frame {
 // progress and diverted hops, §VI-C).
 //
 // Forking is copy-on-write throughout: frames below the top are shared
-// with a reference count, globals / buffer heaps / path-condition
-// bookkeeping are shared behind dirty flags and copied on first write, and
-// the constraint and trace slices share their backing array with the child
-// holding a capacity-clamped view (only the parent, whose capacity extends
-// past the shared prefix, may append in place; children reallocate).
+// with a reference count, globals are shared behind a dirty flag, and the
+// buffer heap, the path condition (with its components and variable
+// index) and the trace live in headers, chunks and components stamped
+// with the state's owner token, so a write after a fork copies one chunk.
 type State struct {
 	ID     int
 	Status StateStatus
@@ -73,13 +73,8 @@ type State struct {
 	Frames  []*Frame
 	Globals []Value
 
-	// Constraints is the path condition (a conjunction). It grows by
-	// appending; the only in-place mutation is single-variable bound
-	// compaction, which must respect consShared.
-	Constraints []solver.Constraint
-
-	// Trace is the sequence of function entry/exit locations crossed.
-	Trace []trace.Location
+	// path holds the path condition and the trace; nil reads as empty.
+	path *pathStore
 
 	// Depth counts branch decisions taken; Forks counts forks performed
 	// at this state (for statistics).
@@ -95,43 +90,32 @@ type State struct {
 	Diverted  int
 	Revived   bool
 
-	// LastModel caches a satisfying assignment for Constraints. It lets
-	// the executor skip solver calls when a new branch condition already
-	// holds under the cached model (the standard KLEE fast path). The map
-	// is shared across forks and never mutated in place.
+	// LastModel caches a satisfying assignment for the path condition. It
+	// lets the executor skip solver calls when a new branch condition
+	// already holds under the cached model (the standard KLEE fast path).
+	// The map is shared across forks and never mutated in place.
 	LastModel solver.Model
 
-	// pcVars is the set of variables mentioned by Constraints, and bounds
-	// caches the interval implied by the single-variable constraints.
-	// Together they power two incremental fast paths: constraints over
-	// variables disjoint from the path condition can be solved in
-	// isolation, and single-variable contradictions refute in O(1).
-	// Shared with forked children until first write (varsShared).
-	pcVars map[solver.Var]struct{}
-	bounds map[solver.Var]VarBounds
-
-	// pcDigest is the rolling order-insensitive digest of Constraints,
-	// maintained incrementally so solver queries never re-hash the whole
-	// path condition.
-	pcDigest solver.Digest
+	// heldModel and held record what the model shortcut has verified: the
+	// first held constraints of the path condition hold under heldModel.
+	// While heldModel is LastModel, the shortcut evaluates only the rest.
+	heldModel solver.Model
+	held      int
 
 	// heap maps buffer identities to their cell storage. Forks share the
-	// map (heapShared) and replace the ownership token (heapTok), so both
-	// sides copy the map, the touched header, and the touched chunk on
-	// first write — everything else stays shared.
-	heap       map[*SymBuffer]*bufCells
-	heapShared bool
-	heapTok    *heapToken
+	// map (heapShared), so both sides copy the map, the touched header, and
+	// the touched chunk on first write — everything else stays shared.
+	heap map[*SymBuffer]*bufCells
 
-	// globalsShared / varsShared mark Globals and pcVars/bounds as shared
+	// tok is the state's owner token (nil until the first write after a
+	// fork): the path store, heap headers, cowVec chunks and path-condition
+	// components stamped with it are this state's to mutate in place.
+	tok *ownerToken
+
+	// heapShared and globalsShared mark the heap map and Globals as shared
 	// with another state; the next write copies first.
+	heapShared    bool
 	globalsShared bool
-	varsShared    bool
-
-	// consShared is the length of the Constraints prefix shared with a
-	// forked child. In-place writes below it must copy the slice first;
-	// an append that reallocates clears it.
-	consShared int
 
 	// pendingSuspend marks a freshly forked child whose guidance hook asked
 	// for suspension during the fork itself (a summary application fires
@@ -165,40 +149,98 @@ func (st *State) pop() Value {
 	return v
 }
 
+// pathStore is a state's path condition, a conjunction kept with its
+// independent components, and its trace, the function entry/exit
+// locations crossed. Forked states share it until one writes, which
+// copies the header first (its vectors copy chunk by chunk later).
+type pathStore struct {
+	owner *ownerToken
+	pc    pathCond
+	trace cowVec[trace.Location]
+}
+
+// noPath is what a state without a path store reads.
+var noPath pathStore
+
+// store returns the state's path store for reading.
+func (st *State) store() *pathStore {
+	if st.path == nil {
+		return &noPath
+	}
+	return st.path
+}
+
+// pc returns the state's path condition for reading.
+func (st *State) pc() *pathCond { return &st.store().pc }
+
+// pathForWrite returns the state's path store for writing under the
+// state's token, copying the header first when another token owns it.
+func (st *State) pathForWrite() (*pathStore, *ownerToken) {
+	tok := st.owner()
+	if st.path == nil || st.path.owner != tok {
+		p := *st.store()
+		p.owner = tok
+		st.path = &p
+	}
+	return st.path, tok
+}
+
 // PCDigest returns the rolling digest of the path condition. It always
-// equals solver.DigestOf(st.Constraints).
-func (st *State) PCDigest() solver.Digest { return st.pcDigest }
+// equals solver.DigestOf(st.Constraints()).
+func (st *State) PCDigest() solver.Digest { return st.pc().digest }
 
-// AddConstraint appends c to the path condition.
-func (st *State) AddConstraint(c solver.Constraint) {
-	st.appendConstraint(c)
+// Constraints returns a copy of the path condition.
+func (st *State) Constraints() []solver.Constraint { return st.pc().cons.slice() }
+
+// Trace returns a copy of the function entry/exit locations crossed.
+func (st *State) Trace() []trace.Location { return st.store().trace.slice() }
+
+// AddConstraint adds c to the path condition as a branch commit does.
+func (st *State) AddConstraint(c solver.Constraint) { addPathConstraint(st, c) }
+
+// owner returns the state's owner token, minting one after a fork.
+func (st *State) owner() *ownerToken {
+	if st.tok == nil {
+		st.tok = new(ownerToken)
+	}
+	return st.tok
 }
 
-// appendConstraint grows the path condition, keeping the rolling digest
-// and the shared-prefix marker coherent. Appending is always safe with
-// respect to forked children: a child's view is capacity-clamped at the
-// shared prefix, so in-place growth lands beyond what any child can see,
-// and a reallocation makes the array private.
-func (st *State) appendConstraint(c solver.Constraint) {
-	oldCap := cap(st.Constraints)
-	st.Constraints = append(st.Constraints, c)
-	if cap(st.Constraints) != oldCap {
-		st.consShared = 0
+// pcHolds reports whether every path constraint holds under m, evaluating
+// only those not yet verified under m, and records how far they hold.
+func (st *State) pcHolds(m solver.Model) bool {
+	if !sameModel(st.heldModel, m) {
+		st.heldModel, st.held = m, 0
 	}
-	st.pcDigest = st.pcDigest.Add(solver.HashConstraint(c))
+	pc := st.pc()
+	for i := st.held; i < pc.len(); i++ {
+		if !pc.cons.at(i).Holds(m) {
+			st.held = i
+			return false
+		}
+	}
+	st.held = pc.len()
+	return true
 }
 
-// replaceConstraint overwrites Constraints[i] (single-variable bound
-// compaction), copying the slice first when i falls inside a prefix shared
-// with a forked child.
-func (st *State) replaceConstraint(i int, c solver.Constraint) {
-	old := st.Constraints[i]
-	if i < st.consShared {
-		st.Constraints = append([]solver.Constraint(nil), st.Constraints...)
-		st.consShared = 0
+// extendedModel installs nm, the cached model plus bindings for vars, as
+// the state's model. The verified prefix carries over to nm up to the
+// first constraint mentioning one of vars: nothing before it reads them.
+func (st *State) extendedModel(nm solver.Model, vars ...solver.Var) {
+	if sameModel(st.heldModel, st.LastModel) {
+		for _, v := range vars {
+			if e := st.pc().vars.at(int(v)); e.slot != 0 && int(e.first) < st.held {
+				st.held = int(e.first)
+			}
+		}
+		st.heldModel = nm
 	}
-	st.Constraints[i] = c
-	st.pcDigest = st.pcDigest.Remove(solver.HashConstraint(old)).Add(solver.HashConstraint(c))
+	st.LastModel = nm
+}
+
+// sameModel reports whether a and b are the same map.
+func sameModel(a, b solver.Model) bool {
+	return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
 }
 
 // fork returns a copy-on-write child (the executor assigns it a fresh ID).
@@ -214,7 +256,9 @@ func (st *State) fork() *State {
 		Diverted:  st.Diverted,
 		Revived:   st.Revived,
 		LastModel: st.LastModel,
-		pcDigest:  st.pcDigest,
+		heldModel: st.heldModel,
+		held:      st.held,
+		path:      st.path,
 	}
 	// Frames: share all but the top, which the child copies eagerly.
 	ns.Frames = make([]*Frame, len(st.Frames))
@@ -228,29 +272,17 @@ func (st *State) fork() *State {
 	ns.Globals = st.Globals
 	ns.globalsShared = true
 	st.globalsShared = true
-	// Constraints/Trace: the child gets a capacity-clamped view, so its
-	// own appends reallocate while the parent keeps appending in place
-	// (growth past the clamp is invisible to the child).
-	n := len(st.Constraints)
-	ns.Constraints = st.Constraints[:n:n]
-	ns.consShared = n
-	st.consShared = n
-	m := len(st.Trace)
-	ns.Trace = st.Trace[:m:m]
-	// pcVars/bounds: shared maps behind a dirty flag.
-	ns.pcVars = st.pcVars
-	ns.bounds = st.bounds
-	ns.varsShared = true
-	st.varsShared = true
-	// Heap: share the map and drop both sides' ownership tokens, freezing
-	// every header and chunk in place (O(1) — no walk over the heap).
-	// Either side's next buffer write re-owns just what it touches.
+	// Heap map: shared behind a dirty flag on both sides.
 	if st.heap != nil {
 		ns.heap = st.heap
 		ns.heapShared = true
 		st.heapShared = true
-		st.heapTok = nil
 	}
+	// Dropping the parent's token (the child starts without one) freezes
+	// the path store and every chunk and component both now reference, in
+	// O(1) — no walk over the heap or the path condition. Either side's
+	// next write re-owns just what it touches.
+	st.tok = nil
 	return ns
 }
 
@@ -293,29 +325,6 @@ func (st *State) ensureGlobalsOwned() {
 	}
 }
 
-// ensureVarsOwned privatizes the path-condition bookkeeping maps before a
-// write.
-func (st *State) ensureVarsOwned() {
-	if !st.varsShared {
-		return
-	}
-	if st.pcVars != nil {
-		nv := make(map[solver.Var]struct{}, len(st.pcVars)+4)
-		for v := range st.pcVars {
-			nv[v] = struct{}{}
-		}
-		st.pcVars = nv
-	}
-	if st.bounds != nil {
-		nb := make(map[solver.Var]VarBounds, len(st.bounds)+4)
-		for v, b := range st.bounds {
-			nb[v] = b
-		}
-		st.bounds = nb
-	}
-	st.varsShared = false
-}
-
 // bufSmeared reports whether the buffer has been smeared by a
 // symbolic-index write in this state.
 func (st *State) bufSmeared(b *SymBuffer) bool {
@@ -326,11 +335,11 @@ func (st *State) bufSmeared(b *SymBuffer) bool {
 }
 
 // bufCell reads one buffer cell. Buffers without heap storage — and
-// untouched chunks of stored buffers — read as zeroes.
+// unwritten cells of stored buffers — read as zeroes.
 func (st *State) bufCell(b *SymBuffer, i int) Value {
 	if c := st.heap[b]; c != nil {
-		if ch := c.chunks[i>>cellChunkShift]; ch != nil {
-			return ch.data[i&cellChunkMask]
+		if v := c.cells.at(i); v.Kind != 0 {
+			return v
 		}
 	}
 	return IntVal(0)
@@ -338,7 +347,7 @@ func (st *State) bufCell(b *SymBuffer, i int) Value {
 
 // bufCellsForWrite returns the buffer's cell header, exclusively owned by
 // this state: it privatizes the heap map if shared, materializes an empty
-// chunk index for untouched buffers, and copies headers owned elsewhere
+// header for untouched buffers, and copies headers owned elsewhere
 // (sharing their frozen chunks).
 func (st *State) bufCellsForWrite(b *SymBuffer) *bufCells {
 	if st.heapShared {
@@ -352,26 +361,16 @@ func (st *State) bufCellsForWrite(b *SymBuffer) *bufCells {
 	if st.heap == nil {
 		st.heap = make(map[*SymBuffer]*bufCells, 4)
 	}
-	if st.heapTok == nil {
-		st.heapTok = new(heapToken)
-	}
+	tok := st.owner()
 	c := st.heap[b]
 	if c == nil {
-		c = &bufCells{
-			owner:  st.heapTok,
-			chunks: make([]*cellChunk, (b.Cap+cellChunkMask)>>cellChunkShift),
-		}
+		c = &bufCells{owner: tok}
 		st.heap[b] = c
 		return c
 	}
-	if c.owner != st.heapTok {
-		nc := &bufCells{
-			owner:   st.heapTok,
-			chunks:  append([]*cellChunk(nil), c.chunks...),
-			smeared: c.smeared,
-		}
-		st.heap[b] = nc
-		return nc
+	if c.owner != tok {
+		c = &bufCells{owner: tok, cells: c.cells, smeared: c.smeared}
+		st.heap[b] = c
 	}
 	return c
 }
@@ -380,80 +379,7 @@ func (st *State) bufCellsForWrite(b *SymBuffer) *bufCells {
 // chunk that holds it.
 func (st *State) setBufCell(b *SymBuffer, i int, v Value) {
 	c := st.bufCellsForWrite(b)
-	ci := i >> cellChunkShift
-	ch := c.chunks[ci]
-	switch {
-	case ch == nil:
-		ch = &cellChunk{owner: c.owner}
-		for j := range ch.data {
-			ch.data[j] = IntVal(0)
-		}
-		c.chunks[ci] = ch
-	case ch.owner != c.owner:
-		nch := &cellChunk{owner: c.owner, data: ch.data}
-		c.chunks[ci] = nch
-		ch = nch
-	}
-	ch.data[i&cellChunkMask] = v
-}
-
-// VarBounds is the interval a state's single-variable path constraints
-// imply for one variable.
-type VarBounds struct {
-	Lo, Hi       int64
-	HasLo, HasHi bool
-}
-
-// mentions reports whether the path condition constrains v.
-func (st *State) mentions(v solver.Var) bool {
-	_, ok := st.pcVars[v]
-	return ok
-}
-
-// noteVars records the constraint's variables and updates the cached
-// bounds for single-variable forms.
-func (st *State) noteVars(c solver.Constraint) {
-	st.ensureVarsOwned()
-	if st.pcVars == nil {
-		st.pcVars = make(map[solver.Var]struct{}, 8)
-	}
-	for _, tm := range c.E.Terms {
-		st.pcVars[tm.Var] = struct{}{}
-	}
-	v, coeff, single := c.E.SingleVar()
-	if !single || (coeff != 1 && coeff != -1) {
-		return
-	}
-	if st.bounds == nil {
-		st.bounds = make(map[solver.Var]VarBounds, 8)
-	}
-	b := st.bounds[v]
-	switch {
-	case c.Op == solver.OpLe && coeff == 1: // v <= -Const
-		k := -c.E.Const
-		if !b.HasHi || k < b.Hi {
-			b.Hi, b.HasHi = k, true
-		}
-	case c.Op == solver.OpLe && coeff == -1: // v >= Const
-		k := c.E.Const
-		if !b.HasLo || k > b.Lo {
-			b.Lo, b.HasLo = k, true
-		}
-	case c.Op == solver.OpEq && (coeff == 1 || coeff == -1):
-		k := -c.E.Const
-		if coeff == -1 {
-			k = c.E.Const
-		}
-		if !b.HasLo || k > b.Lo {
-			b.Lo, b.HasLo = k, true
-		}
-		if !b.HasHi || k < b.Hi {
-			b.Hi, b.HasHi = k, true
-		}
-	default:
-		return
-	}
-	st.bounds[v] = b
+	c.cells.set(c.owner, i, v)
 }
 
 // CurrentFunc returns the name of the function the state is executing.

@@ -420,7 +420,7 @@ func (ex *Executor) stepDivMod(st *State, op minic.BinOp, l, r Value, pos minic.
 		}
 		nm[q] = qv
 		nm[rem] = rv
-		st.LastModel = nm
+		st.extendedModel(nm, q, rem)
 	}
 	if op == minic.OpDiv {
 		st.push(LinVal(solver.VarExpr(q)))

@@ -158,37 +158,32 @@ func NewSymBuffer(capacity int) *SymBuffer {
 	return &SymBuffer{Cap: capacity}
 }
 
-// Cells are stored in fixed windows so a post-fork write copies one chunk,
-// not the whole buffer — the difference between O(cap) and O(1) per write
-// in fork-heavy loops.
+// Buffer cells, like path conditions, are stored in cowVec windows of 32
+// so a post-fork write copies one chunk, not the whole buffer — the
+// difference between O(cap) and O(1) per write in fork-heavy loops.
 const (
 	cellChunkShift = 5 // 32 cells per chunk
 	cellChunkSize  = 1 << cellChunkShift
 	cellChunkMask  = cellChunkSize - 1
 )
 
-// heapToken is an ownership token for heap storage. Each state holds (at
-// most) one current token; chunks and cell headers stamped with it may be
-// mutated in place by that state. Forking replaces both sides' tokens, so
-// every piece of storage stamped with an older token is frozen — an O(1)
-// revocation that needs no walk over the heap and no atomics: the only
-// writes a fork performs are to the two states' private token fields.
-type heapToken struct{ _ byte }
+// ownerToken is an ownership token for a state's copy-on-write storage:
+// heap headers, the path store, cowVec chunks and components.
+// Each state holds (at most) one current token; storage stamped with it
+// may be mutated in place by that state. Forking replaces both sides'
+// tokens, so every piece of storage stamped with an older token is frozen
+// — an O(1) revocation that needs no walk over the storage and no atomics:
+// the only writes a fork performs are to the two states' private token
+// fields.
+type ownerToken struct{ _ byte }
 
-// cellChunk is one window of buffer cells. A state may write data in place
-// only while owner matches its current heap token; anyone else (including
-// the creating state after it forks) installs a copied chunk first.
-type cellChunk struct {
-	owner *heapToken
-	data  [cellChunkSize]Value
-}
-
-// bufCells is the storage of one buffer within one state's heap: a chunk
-// index sharing frozen chunks with related states. A nil chunk reads as
-// all-zero cells, so untouched windows of a buffer never materialize.
+// bufCells is the storage of one buffer within one state's heap, owned by
+// the state whose token it carries. Its cells share frozen chunks with
+// related states; a cell never written holds the zero Value and reads as
+// IntVal(0), so untouched windows of a buffer never materialize.
 type bufCells struct {
-	owner  *heapToken
-	chunks []*cellChunk
+	owner *ownerToken
+	cells cowVec[Value]
 	// smeared marks buffers written through a symbolic index: individual
 	// cell contents are no longer tracked precisely, and reads return
 	// fresh unconstrained values.

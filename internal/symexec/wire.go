@@ -276,9 +276,10 @@ func (e *stateEncoder) state(st *State, prog progIndex) error {
 		e.values(fr.Stack)
 	}
 	e.values(st.Globals)
-	snapshot.EncodeConstraints(w, st.Constraints)
-	w.Int(len(st.Trace))
-	for _, l := range st.Trace {
+	snapshot.EncodeConstraints(w, st.Constraints())
+	tr := st.Trace()
+	w.Int(len(tr))
+	for _, l := range tr {
 		snapshot.EncodeLocation(w, l)
 	}
 	snapshot.EncodeModel(w, st.LastModel)
@@ -287,12 +288,13 @@ func (e *stateEncoder) state(st *State, prog progIndex) error {
 	// stack slot, or global can reach anymore cannot influence execution).
 	type heapEnt struct {
 		ord   int
+		buf   *SymBuffer
 		cells *bufCells
 	}
 	var ents []heapEnt
 	for b, ord := range e.bufs {
 		if c := st.heap[b]; c != nil {
-			ents = append(ents, heapEnt{ord: ord, cells: c})
+			ents = append(ents, heapEnt{ord: ord, buf: b, cells: c})
 		}
 	}
 	sort.Slice(ents, func(i, j int) bool { return ents[i].ord < ents[j].ord })
@@ -300,21 +302,22 @@ func (e *stateEncoder) state(st *State, prog progIndex) error {
 	for _, ent := range ents {
 		w.Int(ent.ord)
 		w.Bool(ent.cells.smeared)
+		// Each written chunk goes out whole, unwritten cells as zeroes.
 		touched := 0
-		for _, ch := range ent.cells.chunks {
+		for _, ch := range ent.cells.cells.chunks {
 			if ch != nil {
 				touched++
 			}
 		}
-		w.Int(len(ent.cells.chunks))
+		w.Int((ent.buf.Cap + cellChunkMask) >> cellChunkShift)
 		w.Int(touched)
-		for ci, ch := range ent.cells.chunks {
+		for ci, ch := range ent.cells.cells.chunks {
 			if ch == nil {
 				continue
 			}
 			w.Int(ci)
-			for _, v := range ch.data {
-				e.value(v)
+			for k := 0; k < cellChunkSize; k++ {
+				e.value(st.bufCell(ent.buf, ci<<cellChunkShift|k))
 			}
 		}
 	}
@@ -523,7 +526,8 @@ func (d *stateDecoder) state(funcs []*bytecode.Fn) (*State, error) {
 	if st.Globals, err = d.values(); err != nil {
 		return nil, err
 	}
-	if st.Constraints, err = snapshot.DecodeConstraints(r); err != nil {
+	cons, err := snapshot.DecodeConstraints(r)
+	if err != nil {
 		return nil, err
 	}
 	ntrace, err := r.Int()
@@ -533,13 +537,13 @@ func (d *stateDecoder) state(funcs []*bytecode.Fn) (*State, error) {
 	if ntrace < 0 || ntrace > r.Len() {
 		return nil, fmt.Errorf("symexec: trace length %d out of range", ntrace)
 	}
-	if ntrace > 0 {
-		st.Trace = make([]trace.Location, ntrace)
-		for i := range st.Trace {
-			if st.Trace[i], err = snapshot.DecodeLocation(r); err != nil {
-				return nil, err
-			}
+	for i := 0; i < ntrace; i++ {
+		loc, err := snapshot.DecodeLocation(r)
+		if err != nil {
+			return nil, err
 		}
+		p, tok := st.pathForWrite()
+		p.trace.push(tok, loc)
 	}
 	if st.LastModel, err = snapshot.DecodeModel(r); err != nil {
 		return nil, err
@@ -563,7 +567,7 @@ func (d *stateDecoder) state(funcs []*bytecode.Fn) (*State, error) {
 			return nil, fmt.Errorf("symexec: heap buffer ordinal %d out of range", ord)
 		}
 		b := d.bufs[ord]
-		c := &bufCells{}
+		c := &bufCells{owner: st.owner()}
 		if c.smeared, err = r.Bool(); err != nil {
 			return nil, err
 		}
@@ -574,7 +578,6 @@ func (d *stateDecoder) state(funcs []*bytecode.Fn) (*State, error) {
 		if nchunks < 0 || nchunks != (b.Cap+cellChunkMask)>>cellChunkShift {
 			return nil, fmt.Errorf("symexec: chunk index size %d inconsistent with capacity %d", nchunks, b.Cap)
 		}
-		c.chunks = make([]*cellChunk, nchunks)
 		touched, err := r.Int()
 		if err != nil {
 			return nil, err
@@ -590,20 +593,22 @@ func (d *stateDecoder) state(funcs []*bytecode.Fn) (*State, error) {
 			if ci < 0 || ci >= nchunks {
 				return nil, fmt.Errorf("symexec: chunk index %d out of range", ci)
 			}
-			ch := &cellChunk{}
-			for k := range ch.data {
-				if ch.data[k], err = d.value(); err != nil {
+			for k := 0; k < cellChunkSize; k++ {
+				v, err := d.value()
+				if err != nil {
 					return nil, err
 				}
+				c.cells.set(c.owner, ci<<cellChunkShift|k, v)
 			}
-			c.chunks[ci] = ch
 		}
 		st.heap[b] = c
 	}
-	// Rebuild derived bookkeeping.
-	for _, c := range st.Constraints {
-		st.noteVars(c)
+	// Rebuild the components, variable index and digest: the path
+	// condition is stored already compacted, so each constraint is added
+	// as is.
+	for _, c := range cons {
+		p, tok := st.pathForWrite()
+		p.pc.add(tok, c)
 	}
-	st.pcDigest = solver.DigestOf(st.Constraints)
 	return st, nil
 }
