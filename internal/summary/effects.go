@@ -93,8 +93,10 @@ func Analyze(prog *bytecode.Program) []FnEffects {
 		}
 		sort.Ints(e.Calls)
 		// Static summarizability filter: a leaf over ints with no effects.
-		// The miner re-checks dynamically (e.g. a nonlinear multiply still
-		// aborts mining), so this only needs to be sound, not tight.
+		// This is the fragment's one definition: the miner steps whatever
+		// it admits without re-checking opcodes, so it must be sound. It
+		// need not be tight: a mined path that mentions a non-parameter
+		// variable (a nonlinear product's fresh one) still fails the mine.
 		e.Summarizable = len(e.Calls) == 0 && !e.UsesBuiltin && !divmod &&
 			!nonIntOps && len(writes[i]) == 0 && len(reads[i]) == 0 &&
 			fn.Name != bytecode.InitFuncName &&

@@ -17,10 +17,11 @@ type PathSummary struct {
 // applying a summary call is exact — it forks once per feasible path under
 // the caller's path condition and never loses a behavior.
 //
-// Failed summaries are negative-cache entries: mining aborted (unsupported
-// opcode, nonlinear arithmetic, budget exhausted) and callers must fall
-// back to interpretation. Caching the failure avoids re-mining on every
-// call site.
+// Failed summaries are negative-cache entries: mining rejected the
+// function (outside the summarizable fragment, over budget, or a path
+// mentioning a non-parameter variable such as a nonlinear product's fresh
+// variable) and callers must fall back to interpretation. Caching the
+// failure avoids re-mining on every call site.
 type FnSummary struct {
 	Name    string
 	NParams int

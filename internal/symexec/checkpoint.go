@@ -519,7 +519,7 @@ func ResumeExecutor(blob []byte, opts Options) (*Executor, error) {
 		return nil, err
 	}
 	ex := newExecutor(prog, table, spec, opts)
-	ex.resumed = true
+	ex.seeded = true
 	d := newStateDecoder(r)
 	if err := decodeRegistry(d, ex.inputs); err != nil {
 		return nil, err

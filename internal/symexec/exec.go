@@ -215,10 +215,11 @@ type Executor struct {
 	ctx     context.Context
 	stopped bool
 
-	// resumed marks an executor reconstructed from a checkpoint: its
-	// scheduler is already populated, so RunContext must not re-run
-	// program initialization (see checkpoint.go).
-	resumed bool
+	// seeded marks an executor whose builder already populated the
+	// scheduler — a checkpoint resume (checkpoint.go) or a summary mine
+	// started at a function's entry (miner.go) — so RunContext must not
+	// run program initialization.
+	seeded bool
 
 	visits [][]int64
 
@@ -413,7 +414,7 @@ func (ex *Executor) runContext(ctx context.Context, loop func(*Executor)) *Resul
 		ex.hops = o.Metrics.Histogram(obs.MetricDivertedHops, obs.HopBuckets...)
 		ex.lastSnap = start
 	}
-	if !ex.resumed {
+	if !ex.seeded {
 		st, err := ex.initialState()
 		if err != nil {
 			// Initialization of globals cannot fork or fault in checked

@@ -2,21 +2,26 @@ package symexec
 
 import (
 	"repro/internal/bytecode"
-	"repro/internal/minic"
 	"repro/internal/solver"
 	"repro/internal/summary"
+	"repro/internal/trace"
 )
 
-// This file implements summary mining: a bounded intra-procedural symbolic
-// exploration of one function over canonical parameter variables. The i-th
-// parameter is solver.Var(i) on a miner-private VarTable (NewVar on a fresh
-// table hands out sequential IDs from 0), so mined constraints substitute
-// directly against call-site argument expressions.
+// This file implements summary mining: the executor itself, run over one
+// function from its entry. The mine is a private Executor on a fresh
+// VarTable, so the i-th parameter is solver.Var(i) (NewVar hands out
+// sequential IDs from 0) and mined constraints substitute directly against
+// call-site argument expressions. It steps with a DFS scheduler at width 1
+// and records each finished path's path condition and return value at the
+// function's Leave event. Because the same step function runs the mine and
+// the caller, a summary carries exactly what interpretation would have
+// added to the path condition, bound compaction included.
 //
-// Mining is a pure, deterministic function of the bytecode: a private table,
-// a private solver, and a DFS worklist popped in a fixed order. That purity
-// is what makes the shared summary cache determinism-safe — a cache hit
-// returns exactly what local mining would have computed, on any worker.
+// Mining is a pure, deterministic function of the bytecode: a private
+// table, a private solver, a fixed scheduler, and a function that touches
+// nothing outside its own frame. That purity is what makes the shared
+// summary cache determinism-safe — a cache hit returns exactly what local
+// mining would have computed, on any worker.
 
 // Mining budgets. Summarizable functions are effect-free leaves, so these
 // bounds are generous; a function that exceeds them gets a Failed entry and
@@ -26,333 +31,68 @@ const (
 	mineMaxSteps = 4096
 )
 
-// mstate is one miner path in progress. Clones are full copies: miner
-// states are small (a handful of locals and constraints), so copy-on-write
-// machinery would cost more than it saves.
-type mstate struct {
-	pc     int
-	locals []Value
-	stack  []Value
-	cons   []solver.Constraint
-}
-
-func (m *mstate) clone() *mstate {
-	return &mstate{
-		pc:     m.pc,
-		locals: append([]Value(nil), m.locals...),
-		stack:  append([]Value(nil), m.stack...),
-		cons:   append([]solver.Constraint(nil), m.cons...),
-	}
-}
-
-func (m *mstate) push(v Value) { m.stack = append(m.stack, v) }
-
-func (m *mstate) pop() Value {
-	v := m.stack[len(m.stack)-1]
-	m.stack = m.stack[:len(m.stack)-1]
-	return v
-}
-
-// miner holds the private solver stack of one mining run.
-type miner struct {
-	fn    *bytecode.Fn
-	table *solver.VarTable
-	sol   *solver.CachedSolver
-	steps int
-	paths []summary.PathSummary
-}
-
 // mineSummary explores fn exhaustively (within budget) and returns its
 // path summary. The result is complete: every path either appears in
 // Paths or was proven infeasible, so applying the summary at a call site —
 // forking once per path feasible under the caller's path condition — loses
-// no behavior. On any unsupported construct or budget overrun the summary
-// is marked Failed (a negative-cache entry; callers interpret instead).
-func mineSummary(fn *bytecode.Fn) *summary.FnSummary {
+// no behavior. The summary is marked Failed (a negative-cache entry;
+// callers interpret instead) when fx puts fn outside the summarizable
+// fragment, when the mine overruns a budget, or when a path's constraints
+// or return value mention a variable other than a parameter (a nonlinear
+// product's fresh variable, say), which no call site could instantiate.
+func mineSummary(prog *bytecode.Program, fn *bytecode.Fn, fx *summary.FnEffects) *summary.FnSummary {
 	sum := &summary.FnSummary{Name: fn.Name, NParams: len(fn.ParamTypes)}
-	mr := &miner{
-		fn:    fn,
-		table: solver.NewVarTable(),
-		sol:   solver.NewCached(solver.New()),
+	if !fx.Summarizable {
+		sum.Failed = true
+		return sum
 	}
-	init := &mstate{locals: make([]Value, fn.NumLocals)}
+	var paths []summary.PathSummary
+	record := func(_ *Executor, st *State, loc trace.Location, view *VarView) HookDecision {
+		if loc.Kind == trace.EventLeave {
+			p := summary.PathSummary{Cons: st.Constraints()}
+			if ret, ok := view.Return(); ok {
+				p.Ret = &ret.Lin
+			}
+			paths = append(paths, p)
+		}
+		return HookContinue
+	}
+	ex := newExecutor(prog, solver.NewVarTable(), nil, Options{Sched: NewDFS(), MaxSteps: mineMaxSteps, Hook: record})
+	entry := &Frame{Fn: fn, Locals: make([]Value, fn.NumLocals)}
 	for i := range fn.ParamTypes {
-		// Canonical parameter variables Var(0..n-1).
-		init.locals[i] = LinVal(solver.VarExpr(mr.table.NewVar(fn.Name + ".param")))
+		entry.Locals[i] = LinVal(solver.VarExpr(ex.Table.NewVar(fn.Name + ".param")))
 	}
-	for i := len(fn.ParamTypes); i < fn.NumLocals; i++ {
-		init.locals[i] = IntVal(0)
+	ex.addState(&State{ID: -1, Frames: []*Frame{entry}})
+	ex.seeded = true
+	res := ex.Run()
+	if res.StepLimited || res.Exhausted || len(paths) > mineMaxPaths || !overParams(paths, sum.NParams) {
+		sum.Failed = true
+		return sum
 	}
-	work := []*mstate{init}
-	for len(work) > 0 {
-		m := work[len(work)-1]
-		work = work[:len(work)-1]
-		forks, ok := mr.runPath(m)
-		if !ok {
-			sum.Failed = true
-			return sum
-		}
-		work = append(work, forks...)
-		if len(mr.paths) > mineMaxPaths {
-			sum.Failed = true
-			return sum
-		}
-	}
-	sum.Paths = mr.paths
+	sum.Paths = paths
 	return sum
 }
 
-// runPath steps m until it returns, forks, or dies. Forked siblings are
-// returned for the worklist; ok=false aborts the whole mine.
-func (mr *miner) runPath(m *mstate) (forks []*mstate, ok bool) {
-	code := mr.fn.Code
-	for {
-		mr.steps++
-		if mr.steps > mineMaxSteps || m.pc >= len(code) {
-			return nil, false
-		}
-		in := code[m.pc]
-		m.pc++
-		switch in.Op {
-		case bytecode.OpNop:
-
-		case bytecode.OpConstInt:
-			m.push(IntVal(in.Imm))
-		case bytecode.OpLoadLocal:
-			m.push(m.locals[in.A])
-		case bytecode.OpStoreLocal:
-			v := m.pop()
-			if v.IsCond {
-				// Stored comparisons are materialized by pushBool in the
-				// executor before any store; a CondVal here means the next-op
-				// deferral below mispredicted. Abort rather than guess.
-				return nil, false
+// overParams reports whether every constraint and return expression of
+// paths mentions only the parameter variables Var(0..n-1).
+func overParams(paths []summary.PathSummary, n int) bool {
+	params := func(e solver.LinExpr) bool {
+		for _, t := range e.Terms {
+			if int(t.Var) >= n {
+				return false
 			}
-			m.locals[in.A] = v
-
-		case bytecode.OpNeg:
-			v := m.pop()
-			if v.IsCond {
-				return nil, false
-			}
-			m.push(LinVal(v.Lin.Neg()))
-		case bytecode.OpNot:
-			v := m.pop()
-			if v.IsCond {
-				return nil, false
-			}
-			if c, cok := v.IsConcreteInt(); cok {
-				m.push(IntVal(boolToInt(c == 0)))
-				break
-			}
-			f, aborted := mr.pushBool(m, solver.Constraint{E: v.Lin, Op: solver.OpEq})
-			if aborted {
-				return nil, false
-			}
-			forks = append(forks, f...)
-
-		case bytecode.OpBin:
-			f, aborted := mr.stepBin(m, minic.BinOp(in.A))
-			if aborted {
-				return nil, false
-			}
-			forks = append(forks, f...)
-
-		case bytecode.OpJump:
-			m.pc = in.A
-		case bytecode.OpJumpZ, bytecode.OpJumpNZ:
-			f, aborted := mr.stepJump(m, in)
-			if aborted {
-				return nil, false
-			}
-			forks = append(forks, f...)
-
-		case bytecode.OpReturn:
-			return forks, mr.recordReturn(m, in.A == 1)
-
-		case bytecode.OpPop:
-			m.pop()
-
-		default:
-			// Calls, builtins, globals, buffers, strings: outside the
-			// summarizable fragment (the static filter should have caught
-			// these — this is the dynamic backstop).
-			return nil, false
-		}
-	}
-}
-
-// stepBin mirrors the executor's integer OpBin handling over miner states.
-func (mr *miner) stepBin(m *mstate, op minic.BinOp) (forks []*mstate, aborted bool) {
-	r := m.pop()
-	l := m.pop()
-	if l.IsCond || r.IsCond || l.Kind != KindInt || r.Kind != KindInt {
-		return nil, true
-	}
-	lc, lok := l.IsConcreteInt()
-	rc, rok := r.IsConcreteInt()
-	switch op {
-	case minic.OpAdd:
-		m.push(LinVal(l.Lin.Add(r.Lin)))
-	case minic.OpSub:
-		m.push(LinVal(l.Lin.Sub(r.Lin)))
-	case minic.OpMul:
-		switch {
-		case lok:
-			m.push(LinVal(r.Lin.MulConst(lc)))
-		case rok:
-			m.push(LinVal(l.Lin.MulConst(rc)))
-		default:
-			// Nonlinear product: the executor over-approximates with a fresh
-			// variable, which a reusable summary cannot express. Abort.
-			return nil, true
-		}
-	case minic.OpEq, minic.OpNeq, minic.OpLt, minic.OpLe, minic.OpGt, minic.OpGe:
-		if lok && rok {
-			m.push(IntVal(boolToInt(concreteCompare(op, lc, rc))))
-			return nil, false
-		}
-		return mr.pushBool(m, compareConstraint(op, l.Lin, r.Lin))
-	default:
-		// Division/modulo need auxiliary variables; out of fragment.
-		return nil, true
-	}
-	return nil, false
-}
-
-// pushBool mirrors the executor's comparison delivery: deferred as a
-// CondVal when the next instruction consumes it as a jump condition,
-// otherwise forked into 0/1 materializations. The current state takes the
-// true side; the clone takes the false side (fixed order — mining has no
-// model to direct it, and determinism is what matters).
-func (mr *miner) pushBool(m *mstate, c solver.Constraint) (forks []*mstate, aborted bool) {
-	if m.pc < len(mr.fn.Code) {
-		next := mr.fn.Code[m.pc].Op
-		if next == bytecode.OpJumpZ || next == bytecode.OpJumpNZ {
-			m.push(CondVal(c))
-			return nil, false
-		}
-	}
-	neg := c.Negate()
-	okT := mr.feasible(m.cons, c)
-	okF := mr.feasible(m.cons, neg)
-	switch {
-	case okT && okF:
-		child := m.clone()
-		appendMinedConstraint(child, neg)
-		child.push(IntVal(0))
-		appendMinedConstraint(m, c)
-		m.push(IntVal(1))
-		return []*mstate{child}, false
-	case okT:
-		appendMinedConstraint(m, c)
-		m.push(IntVal(1))
-	case okF:
-		appendMinedConstraint(m, neg)
-		m.push(IntVal(0))
-	default:
-		// Both sides refuted: the Unknown-optimistic path condition was
-		// actually unsatisfiable. Rare; abort the mine (interpretation is
-		// always a sound fallback) rather than model dead paths.
-		return nil, true
-	}
-	return nil, false
-}
-
-// stepJump mirrors the executor's conditional-jump forking.
-func (mr *miner) stepJump(m *mstate, in bytecode.Instr) (forks []*mstate, aborted bool) {
-	v := m.pop()
-	if c, cok := v.IsConcreteInt(); cok {
-		isZero := c == 0
-		if (in.Op == bytecode.OpJumpZ && isZero) || (in.Op == bytecode.OpJumpNZ && !isZero) {
-			m.pc = in.A
-		}
-		return nil, false
-	}
-	var nonZero solver.Constraint
-	if v.IsCond {
-		nonZero = v.Cond
-	} else {
-		nonZero = solver.Constraint{E: v.Lin, Op: solver.OpNe}
-	}
-	zero := nonZero.Negate()
-	stayCond, jumpCond := nonZero, zero
-	if in.Op == bytecode.OpJumpNZ {
-		stayCond, jumpCond = zero, nonZero
-	}
-	okStay := mr.feasible(m.cons, stayCond)
-	okJump := mr.feasible(m.cons, jumpCond)
-	switch {
-	case okStay && okJump:
-		child := m.clone()
-		appendMinedConstraint(child, jumpCond)
-		child.pc = in.A
-		appendMinedConstraint(m, stayCond)
-		return []*mstate{child}, false
-	case okStay:
-		appendMinedConstraint(m, stayCond)
-	case okJump:
-		appendMinedConstraint(m, jumpCond)
-		m.pc = in.A
-	default:
-		return nil, true
-	}
-	return nil, false
-}
-
-// recordReturn appends the finished path (or two, when the return value is
-// a deferred comparison) to the mined set.
-func (mr *miner) recordReturn(m *mstate, hasValue bool) bool {
-	if !hasValue {
-		mr.paths = append(mr.paths, summary.PathSummary{Cons: m.cons})
-		return true
-	}
-	v := m.pop()
-	if v.Kind != KindInt {
-		return false
-	}
-	if v.IsCond {
-		// `return a < b` with the comparison still deferred: materialize
-		// both outcomes as separate paths.
-		neg := v.Cond.Negate()
-		if mr.feasible(m.cons, v.Cond) {
-			cons := append(append([]solver.Constraint(nil), m.cons...), v.Cond)
-			one := solver.ConstExpr(1)
-			mr.paths = append(mr.paths, summary.PathSummary{Cons: cons, Ret: &one})
-		}
-		if mr.feasible(m.cons, neg) {
-			cons := append(append([]solver.Constraint(nil), m.cons...), neg)
-			zero := solver.ConstExpr(0)
-			mr.paths = append(mr.paths, summary.PathSummary{Cons: cons, Ret: &zero})
 		}
 		return true
 	}
-	ret := v.Lin
-	mr.paths = append(mr.paths, summary.PathSummary{Cons: m.cons, Ret: &ret})
+	for _, p := range paths {
+		for _, c := range p.Cons {
+			if !params(c.E) {
+				return false
+			}
+		}
+		if p.Ret != nil && !params(*p.Ret) {
+			return false
+		}
+	}
 	return true
-}
-
-// feasible decides cons ∧ extra on the miner's private solver. Unknown is
-// treated as satisfiable, matching the executor's optimistic exploration.
-func (mr *miner) feasible(cons []solver.Constraint, extra solver.Constraint) bool {
-	if extra.IsTriviallyTrue() {
-		return true
-	}
-	if extra.IsTriviallyFalse() {
-		return false
-	}
-	q := make([]solver.Constraint, 0, len(cons)+1)
-	q = append(q, cons...)
-	q = append(q, extra)
-	res, _ := mr.sol.Check(mr.table, q)
-	return res != solver.Unsat
-}
-
-// appendMinedConstraint grows a miner path condition, skipping trivially
-// true constraints so summaries stay minimal.
-func appendMinedConstraint(m *mstate, c solver.Constraint) {
-	if c.IsTriviallyTrue() {
-		return
-	}
-	m.cons = append(m.cons, c)
 }

@@ -100,7 +100,7 @@ func (s *summarizeCalls) OnCall(ex *Executor, st *State, callee *bytecode.Fn, ar
 	key := s.hashes[callee.Index]
 	sum, ok := s.cache.Lookup(key)
 	if !ok {
-		sum = mineSummary(callee)
+		sum = mineSummary(ex.Prog, callee, &s.fx[callee.Index])
 		s.cache.Store(key, sum)
 	}
 	if sum.Failed {
