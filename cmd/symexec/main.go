@@ -336,16 +336,19 @@ func runServeWorker(addr, cacheDir string, lopts live.Options) error {
 // runDispatchPure distributes a pure-mode exploration: a bounded local
 // warmup builds a frontier, EncodeFrontierShards splits it 1+len(addrs)
 // ways, one shard runs locally while the rest ship to the workers as
-// FrameStateUnit units, and the results merge in shard order. Every shard
-// runs under the run's full step/state budget, so the merged totals equal
-// the undivided run's (the shard-union invariant pinned in
-// internal/symexec). A shard whose worker fails re-runs locally: workers
-// cost speed, never detections. StopAtFirstVuln is forced off — shards
-// explore independently, so the run behaves like -all.
+// FrameStateUnit units, and symexec.MergeShards folds the shard Results
+// into the warmup's in shard order. Every shard runs under the run's full
+// step/state budget, so the merged exploration totals equal the undivided
+// run's (the shard-union invariant pinned in internal/symexec). A shard
+// whose worker fails re-runs locally: workers cost speed, never
+// detections. StopAtFirstVuln is forced off — shards explore
+// independently, so the run behaves like -all. The returned Elapsed
+// covers the whole run, warmup to merge.
 func runDispatchPure(ctx context.Context, prog *bytecode.Program, spec *symexec.InputSpec, opts symexec.Options, addrs []string, warmup int64) (*symexec.Executor, *symexec.Result, error) {
 	if opts.Workers > 0 || opts.Calls != nil {
 		return nil, nil, fmt.Errorf("-dispatch requires the default pure engine (no -workers, -scope, -summaries)")
 	}
+	start := time.Now()
 	full := opts
 	if full.MaxSteps == 0 {
 		full.MaxSteps = symexec.DefaultMaxSteps
@@ -376,19 +379,22 @@ func runDispatchPure(ctx context.Context, prog *bytecode.Program, spec *symexec.
 	for i, blob := range shards {
 		units[i] = &symexec.StateUnit{MaxSteps: full.MaxSteps, MaxStates: full.MaxStates, Blob: blob}
 	}
-	results := make([]*symexec.StateResult, n)
+	results := make([]*symexec.Result, n)
+	shipped := make([]bool, n)
 	var wg sync.WaitGroup
 	for i := 1; i < n; i++ {
 		wg.Add(1)
 		go func(i int, addr string) {
 			defer wg.Done()
 			r, err := shipStateUnit(addr, units[i])
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "symexec: worker %s failed (%v); running shard %d locally\n", addr, err, i)
-				if r, err = symexec.RunStateUnit(ctx, units[i]); err != nil {
-					fmt.Fprintf(os.Stderr, "symexec: shard %d: %v\n", i, err)
-					return
-				}
+			if err == nil {
+				results[i], shipped[i] = r, true
+				return
+			}
+			fmt.Fprintf(os.Stderr, "symexec: worker %s failed (%v); running shard %d locally\n", addr, err, i)
+			if r, err = symexec.RunStateUnit(ctx, units[i]); err != nil {
+				fmt.Fprintf(os.Stderr, "symexec: shard %d: %v\n", i, err)
+				return
 			}
 			results[i] = r
 		}(i, addrs[i-1])
@@ -399,31 +405,20 @@ func runDispatchPure(ctx context.Context, prog *bytecode.Program, spec *symexec.
 	wg.Wait()
 
 	remote := 0
-	for i, r := range results {
-		if r == nil {
-			continue
-		}
-		if i > 0 {
+	for _, ok := range shipped {
+		if ok {
 			remote++
 		}
-		res.Paths += r.Paths
-		res.StatesCreated += r.StatesCreated
-		res.Steps += r.Steps
-		res.Forks += r.Forks
-		res.SolverChecks += r.SolverChecks
-		res.SolverSat += r.SolverSat
-		res.SolverUnsat += r.SolverUnsat
-		res.Exhausted = res.Exhausted || r.Exhausted
-		res.StepLimited = res.StepLimited || r.StepLimited
-		res.Vulns = append(res.Vulns, r.Vulns...)
 	}
+	symexec.MergeShards(res, results)
+	res.Elapsed = time.Since(start)
 	fmt.Printf("dispatch: %d shards (%d local, %d remote-capable workers)\n", n, n-remote, len(addrs))
 	return ex, res, nil
 }
 
 // shipStateUnit sends one frontier shard to a worker and decodes its
 // result.
-func shipStateUnit(addr string, u *symexec.StateUnit) (*symexec.StateResult, error) {
+func shipStateUnit(addr string, u *symexec.StateUnit) (*symexec.Result, error) {
 	c, err := dispatch.Dial(addr)
 	if err != nil {
 		return nil, err
@@ -433,7 +428,7 @@ func shipStateUnit(addr string, u *symexec.StateUnit) (*symexec.StateResult, err
 	if err != nil {
 		return nil, err
 	}
-	return symexec.DecodeStateResult(reply)
+	return symexec.DecodeResult(reply)
 }
 
 func trunc(s string) string {

@@ -312,7 +312,7 @@ func runStateUnitPayload(payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return symexec.EncodeStateResult(res), nil
+	return symexec.EncodeResult(res), nil
 }
 
 // DispatchEvent is one line of the -dispatch-log JSONL audit trail.
