@@ -2,9 +2,9 @@
 // from this reproduction. Without flags it runs everything; -table and
 // -figure select individual artifacts; -ablation runs the design-choice
 // ablations from DESIGN.md. -baseline compares this machine's ablation
-// rows against a recorded ledger (or a legacy BENCH_pr*.json) and exits
-// nonzero on regression; -ledger-out records the current rows for use as
-// a future baseline.
+// rows against a recorded statsym.ledger/v1 ledger such as BENCH_gate.json
+// (any other file is an error) and exits nonzero on regression;
+// -ledger-out records the current rows for use as a future baseline.
 package main
 
 import (
