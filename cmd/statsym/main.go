@@ -272,9 +272,9 @@ func printReport(rep *core.Report, app *apps.App, o *obs.Obs,
 		case c.Infeasible:
 			status = "infeasible / abandoned"
 		}
-		fmt.Printf("   candidate %d (len %d): %s — %d paths, %d steps, %d suspensions, %v (solver: %d checks, %d hits / %d misses, %v)\n",
+		fmt.Printf("   candidate %d (len %d): %s — %d paths, %d steps, %d suspensions, %v (solver: %d checks, %d hits / %d misses, %d reused, %v)\n",
 			c.Index, c.PathLen, status, c.Paths, c.Steps, c.Suspends, c.Elapsed.Round(time.Millisecond),
-			c.SolverChecks, c.CacheHits, c.CacheMisses, c.SolverTime.Round(time.Microsecond))
+			c.SolverChecks, c.CacheHits, c.CacheMisses, c.CompReused, c.SolverTime.Round(time.Microsecond))
 	}
 	if rep.SkippedCandidates > 0 {
 		fmt.Printf("   incremental: %d candidate paths skipped (no changed function on the path)\n",
@@ -341,21 +341,8 @@ func printReport(rep *core.Report, app *apps.App, o *obs.Obs,
 	}
 	fmt.Println("   witness input:")
 	if v.Witness != nil {
-		for k, val := range v.Witness.Ints {
-			fmt.Printf("     int %s = %d\n", k, val)
-		}
-		for k, val := range v.Witness.Strs {
-			fmt.Printf("     string %s = %s\n", k, summarize(val))
-		}
-		for k, val := range v.Witness.Env {
-			fmt.Printf("     env %s = %s\n", k, summarize(val))
-		}
-		if len(v.Witness.Args) > 0 {
-			fmt.Printf("     args =")
-			for _, a := range v.Witness.Args {
-				fmt.Printf(" %s", summarize(a))
-			}
-			fmt.Println()
+		for _, l := range v.Witness.Lines(summarize) {
+			fmt.Printf("     %s\n", l)
 		}
 	}
 	if err := writeHTML(); err != nil {
@@ -371,21 +358,8 @@ func printReport(rep *core.Report, app *apps.App, o *obs.Obs,
 	if *minimize && v.Witness != nil {
 		min, replays := core.MinimizeWitness(app.Program(), v.Witness, 512)
 		fmt.Printf("   minimized witness (%d replays):\n", replays)
-		for k, val := range min.Ints {
-			fmt.Printf("     int %s = %d\n", k, val)
-		}
-		for k, val := range min.Strs {
-			fmt.Printf("     string %s = %s\n", k, summarize(val))
-		}
-		for k, val := range min.Env {
-			fmt.Printf("     env %s = %s\n", k, summarize(val))
-		}
-		if len(min.Args) > 0 {
-			fmt.Printf("     args =")
-			for _, a := range min.Args {
-				fmt.Printf(" %s", summarize(a))
-			}
-			fmt.Println()
+		for _, l := range min.Lines(summarize) {
+			fmt.Printf("     %s\n", l)
 		}
 	}
 	return nil

@@ -230,8 +230,8 @@ func run() error {
 	fmt.Printf("scheduler=%s paths=%d states=%d forks=%d steps=%d solver-checks=%d elapsed=%v\n",
 		opts.Sched.Name(), res.Paths, res.StatesCreated, res.Forks, res.Steps,
 		res.SolverChecks, res.Elapsed.Round(time.Millisecond))
-	fmt.Printf("solver-cache: hits=%d misses=%d evictions=%d solver-time=%v\n",
-		res.CacheHits, res.CacheMisses, res.CacheEvictions, res.SolverTime.Round(time.Microsecond))
+	fmt.Printf("solver-cache: hits=%d reused=%d misses=%d evictions=%d solver-time=%v\n",
+		res.CacheHits, res.CompReused, res.CacheMisses, res.CacheEvictions, res.SolverTime.Round(time.Microsecond))
 	if *cov {
 		fmt.Printf("coverage: %.1f%% of instructions\n", ex.TotalCoverage()*100)
 		byFunc := ex.Coverage()
@@ -279,21 +279,8 @@ func run() error {
 		}
 		if v.Witness != nil {
 			fmt.Println("  witness:")
-			for k, val := range v.Witness.Ints {
-				fmt.Printf("    int %s = %d\n", k, val)
-			}
-			for k, val := range v.Witness.Strs {
-				fmt.Printf("    string %s = %s\n", k, trunc(val))
-			}
-			for k, val := range v.Witness.Env {
-				fmt.Printf("    env %s = %s\n", k, trunc(val))
-			}
-			if len(v.Witness.Args) > 0 {
-				fmt.Printf("    args =")
-				for _, a := range v.Witness.Args {
-					fmt.Printf(" %s", trunc(a))
-				}
-				fmt.Println()
+			for _, l := range v.Witness.Lines(trunc) {
+				fmt.Printf("    %s\n", l)
 			}
 		}
 	}

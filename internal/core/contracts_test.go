@@ -47,17 +47,23 @@ var memoConfigs = map[string]Config{
 
 // goldenRow is one app's recorded detection at rate 0.3, seed 1.
 type goldenRow struct {
-	token                string
-	steps                int64
-	paths                int
-	hits, misses, checks int
+	token                        string
+	steps                        int64
+	paths                        int
+	hits, misses, checks, reused int
 }
 
 // golden is the reference column of the GoldenDigests contract: each app's
-// DigestToken, TotalSteps, TotalPaths, cache hits, cache misses and solver
-// checks under four configurations. The cache columns pin the executor's
-// constraint-check path: every component lookup of every query is counted,
-// so a change to how path conditions are split or keyed moves them. The
+// DigestToken, TotalSteps, TotalPaths, cache hits, cache misses, solver
+// checks and reused components under four configurations. The cache
+// columns pin the executor's constraint-check path: every component of
+// every query is counted, as a hit, a miss, or a component answered from
+// its record, so a change to how path conditions are split or keyed moves
+// them. The hits column is CacheHits + CompReused — what the hits were
+// before components kept records — and reused is CompReused alone. Only
+// path conditions of more than 16 components keep records, and only at
+// epoch width 1, so the workers-2 rows and the short-path apps reuse
+// nothing. The
 // engine contracts compare engines with each other within one build; this
 // table also catches a change that shifts every engine together. The
 // values were recorded from the separate sequential, parallel and dispatch
@@ -69,40 +75,40 @@ type goldenRow struct {
 // path.
 var golden = map[string]map[string]goldenRow{
 	"polymorph": {
-		"sequential":          {"0f42d7cd2c3f896b", 9482, 2, 7, 13, 13},
-		"parallel-2":          {"0f42d7cd2c3f896b", 9482, 2, 7, 13, 13},
-		"workers-2":           {"0f42d7cd2c3f896b", 37186, 3, 9, 31, 31},
-		"dispatch-local-only": {"0f42d7cd2c3f896b", 9482, 2, 7, 13, 13},
+		"sequential":          {"0f42d7cd2c3f896b", 9482, 2, 7, 13, 13, 0},
+		"parallel-2":          {"0f42d7cd2c3f896b", 9482, 2, 7, 13, 13, 0},
+		"workers-2":           {"0f42d7cd2c3f896b", 37186, 3, 9, 31, 31, 0},
+		"dispatch-local-only": {"0f42d7cd2c3f896b", 9482, 2, 7, 13, 13, 0},
 	},
 	"ctree": {
-		"sequential":          {"4defe7ff3b81aa9a", 1205, 1, 10, 8, 8},
-		"parallel-2":          {"4defe7ff3b81aa9a", 1205, 1, 10, 8, 8},
-		"workers-2":           {"4defe7ff3b81aa9a", 4533, 1, 358, 93, 93},
-		"dispatch-local-only": {"4defe7ff3b81aa9a", 1205, 1, 10, 8, 8},
+		"sequential":          {"4defe7ff3b81aa9a", 1205, 1, 10, 8, 8, 0},
+		"parallel-2":          {"4defe7ff3b81aa9a", 1205, 1, 10, 8, 8, 0},
+		"workers-2":           {"4defe7ff3b81aa9a", 4533, 1, 358, 93, 93, 0},
+		"dispatch-local-only": {"4defe7ff3b81aa9a", 1205, 1, 10, 8, 8, 0},
 	},
 	"thttpd": {
-		"sequential":          {"26f2b6e639bca9d2", 49641, 1, 574522, 2471, 2471},
-		"parallel-2":          {"26f2b6e639bca9d2", 49641, 1, 574522, 2471, 2471},
-		"workers-2":           {"26f2b6e639bca9d2", 309300, 1, 2867735, 13158, 13158},
-		"dispatch-local-only": {"26f2b6e639bca9d2", 49641, 1, 574522, 2471, 2471},
+		"sequential":          {"26f2b6e639bca9d2", 49641, 1, 574522, 2471, 2471, 573815},
+		"parallel-2":          {"26f2b6e639bca9d2", 49641, 1, 574522, 2471, 2471, 573815},
+		"workers-2":           {"26f2b6e639bca9d2", 309300, 1, 2867735, 13158, 13158, 0},
+		"dispatch-local-only": {"26f2b6e639bca9d2", 49641, 1, 574522, 2471, 2471, 573815},
 	},
 	"grep": {
-		"sequential":          {"d83b6872c40dff5c", 1278443, 1, 369059, 165, 165},
-		"parallel-2":          {"d83b6872c40dff5c", 1278443, 1, 369059, 165, 165},
-		"workers-2":           {"d83b6872c40dff5c", 1277825, 1, 367516, 500, 500},
-		"dispatch-local-only": {"d83b6872c40dff5c", 1278443, 1, 369059, 165, 165},
+		"sequential":          {"d83b6872c40dff5c", 1278443, 1, 369059, 165, 165, 338849},
+		"parallel-2":          {"d83b6872c40dff5c", 1278443, 1, 369059, 165, 165, 338849},
+		"workers-2":           {"d83b6872c40dff5c", 1277825, 1, 367516, 500, 500, 0},
+		"dispatch-local-only": {"d83b6872c40dff5c", 1278443, 1, 369059, 165, 165, 338849},
 	},
 	"msgtool": {
-		"sequential":          {"1d791072cc29b364", 1602, 2, 5, 10, 10},
-		"parallel-2":          {"1d791072cc29b364", 1602, 2, 5, 10, 10},
-		"workers-2":           {"fc6ccb0e527f909a", 1355, 5, 26, 22, 22},
-		"dispatch-local-only": {"1d791072cc29b364", 1602, 2, 5, 10, 10},
+		"sequential":          {"1d791072cc29b364", 1602, 2, 5, 10, 10, 0},
+		"parallel-2":          {"1d791072cc29b364", 1602, 2, 5, 10, 10, 0},
+		"workers-2":           {"fc6ccb0e527f909a", 1355, 5, 26, 22, 22, 0},
+		"dispatch-local-only": {"1d791072cc29b364", 1602, 2, 5, 10, 10, 0},
 	},
 	"billing": {
-		"sequential":          {"7dad683cba7691f4", 202, 1, 2, 8, 8},
-		"parallel-2":          {"7dad683cba7691f4", 202, 1, 2, 8, 8},
-		"workers-2":           {"7dad683cba7691f4", 297, 3, 2, 14, 14},
-		"dispatch-local-only": {"7dad683cba7691f4", 202, 1, 2, 8, 8},
+		"sequential":          {"7dad683cba7691f4", 202, 1, 2, 8, 8, 0},
+		"parallel-2":          {"7dad683cba7691f4", 202, 1, 2, 8, 8, 0},
+		"workers-2":           {"7dad683cba7691f4", 297, 3, 2, 14, 14, 0},
+		"dispatch-local-only": {"7dad683cba7691f4", 202, 1, 2, 8, 8, 0},
 	},
 }
 
@@ -407,7 +413,7 @@ func replays(t *testing.T, app *apps.App, r row) {
 func pinned(t *testing.T, _ *Report, got row) {
 	t.Helper()
 	r := got.rep
-	g := goldenRow{DigestToken(r), r.TotalSteps, r.TotalPaths, r.CacheHits, r.CacheMisses, 0}
+	g := goldenRow{DigestToken(r), r.TotalSteps, r.TotalPaths, r.CacheHits + r.CompReused, r.CacheMisses, 0, r.CompReused}
 	for _, c := range r.Candidates {
 		g.checks += c.SolverChecks
 	}
@@ -469,12 +475,12 @@ func sameSite(t *testing.T, ref *Report, got row) {
 	}
 }
 
-// sameCacheTraffic: equal solver-cache hits and misses.
+// sameCacheTraffic: equal solver-cache hits, misses and reused components.
 func sameCacheTraffic(t *testing.T, ref *Report, got row) {
 	t.Helper()
-	if g := got.rep; g.CacheHits != ref.CacheHits || g.CacheMisses != ref.CacheMisses {
-		t.Errorf("%s: cache hits/misses %d/%d, reference %d/%d",
-			got.label, g.CacheHits, g.CacheMisses, ref.CacheHits, ref.CacheMisses)
+	if g := got.rep; g.CacheHits != ref.CacheHits || g.CacheMisses != ref.CacheMisses || g.CompReused != ref.CompReused {
+		t.Errorf("%s: cache hits/misses/reused %d/%d/%d, reference %d/%d/%d", got.label,
+			g.CacheHits, g.CacheMisses, g.CompReused, ref.CacheHits, ref.CacheMisses, ref.CompReused)
 	}
 }
 

@@ -144,6 +144,7 @@ func encodeAttemptResult(out CandidateOutcome, vuln *symexec.Vulnerability) []by
 	w.Bool(out.Cancelled)
 	w.Int(out.SolverChecks)
 	w.Int(out.CacheHits)
+	w.Int(out.CompReused)
 	w.Int(out.CacheMisses)
 	w.Varint(int64(out.SolverTime))
 	w.Int(out.SummaryCalls)
@@ -206,6 +207,9 @@ func decodeAttemptResult(payload []byte) (CandidateOutcome, *symexec.Vulnerabili
 		return out, nil, err
 	}
 	if out.CacheHits, err = r.Int(); err != nil {
+		return out, nil, err
+	}
+	if out.CompReused, err = r.Int(); err != nil {
 		return out, nil, err
 	}
 	if out.CacheMisses, err = r.Int(); err != nil {

@@ -169,7 +169,7 @@ func TestAttemptUnitRoundTrip(t *testing.T) {
 
 	out := CandidateOutcome{Index: 3, PathLen: 9, Found: true, Paths: 4, Steps: 1000,
 		Suspends: 2, Matches: 8, Elapsed: time.Second, SolverChecks: 17, CacheHits: 5,
-		CacheMisses: 12, SolverTime: time.Millisecond, SummaryCalls: 1}
+		CompReused: 6, CacheMisses: 12, SolverTime: time.Millisecond, SummaryCalls: 1}
 	blob := encodeAttemptResult(out, nil)
 	out2, vuln, err := decodeAttemptResult(blob)
 	if err != nil {

@@ -221,9 +221,11 @@ func TestAbandonWarnMaxSteps(t *testing.T) {
 
 // TestJSONLTraceParses: an end-to-end run through the real JSONL sink
 // must produce a line-parseable trace with balanced spans, and the
-// solver metrics surfaced in the report must match the registry.
+// solver metrics surfaced in the report must match the registry. thttpd's
+// long path conditions keep component records, so reused components are
+// counted too.
 func TestJSONLTraceParses(t *testing.T) {
-	app, corpus := obsCorpus(t, "polymorph")
+	app, corpus := obsCorpus(t, "thttpd")
 	var buf bytes.Buffer
 	sink := obs.NewJSONLSink(&buf)
 	o := obs.New(sink)
@@ -265,6 +267,9 @@ func TestJSONLTraceParses(t *testing.T) {
 	}
 	if got := snap[obs.MetricCacheHits]; got != int64(rep.CacheHits) {
 		t.Errorf("registry cache hits = %d, report %d", got, rep.CacheHits)
+	}
+	if got := snap[obs.MetricCacheReused]; got != int64(rep.CompReused) || got == 0 {
+		t.Errorf("registry reused components = %d, report %d (want equal and nonzero)", got, rep.CompReused)
 	}
 	if rep.SolverTime <= 0 {
 		t.Error("report SolverTime not populated")

@@ -221,10 +221,12 @@ type CandidateOutcome struct {
 	Cancelled bool
 
 	// Solver effort for this attempt: total satisfiability queries, the
-	// query-cache split (exact hits and misses), and the wall clock spent
+	// query-cache split (exact hits and misses), the components answered
+	// from their records without a lookup, and the wall clock spent
 	// inside non-memoized solver checks.
 	SolverChecks int
 	CacheHits    int
+	CompReused   int
 	CacheMisses  int
 	SolverTime   time.Duration
 
@@ -291,9 +293,10 @@ type Report struct {
 	// loop which never starts them (see mergeAttempts).
 	TotalPaths int
 	TotalSteps int64
-	// CacheHits/CacheMisses/SolverTime aggregate the per-candidate solver
-	// effort across the recorded attempts.
+	// CacheHits/CompReused/CacheMisses/SolverTime aggregate the
+	// per-candidate solver effort across the recorded attempts.
 	CacheHits   int
+	CompReused  int
 	CacheMisses int
 	SolverTime  time.Duration
 	// Compositional-call totals across the recorded attempts (deterministic,
@@ -465,6 +468,7 @@ func (r *Report) addOutcome(o CandidateOutcome) {
 	r.TotalPaths += o.Paths
 	r.TotalSteps += o.Steps
 	r.CacheHits += o.CacheHits
+	r.CompReused += o.CompReused
 	r.CacheMisses += o.CacheMisses
 	r.SolverTime += o.SolverTime
 	r.SummaryCalls += o.SummaryCalls
@@ -538,6 +542,7 @@ func VerifyCandidateCtx(ctx context.Context, prog *bytecode.Program, cand *pathi
 		Cancelled:      res.Cancelled,
 		SolverChecks:   res.SolverChecks,
 		CacheHits:      res.CacheHits,
+		CompReused:     res.CompReused,
 		CacheMisses:    res.CacheMisses,
 		SolverTime:     res.SolverTime,
 		SummaryCalls:   res.SummaryCalls,
@@ -577,7 +582,8 @@ func VerifyCandidateCtx(ctx context.Context, prog *bytecode.Program, cand *pathi
 	vspan.EmitChild("solver", runStart, res.SolverTime,
 		obs.A("checks", res.SolverChecks), obs.A("sat", res.SolverSat),
 		obs.A("unsat", res.SolverUnsat), obs.A("unknown", res.SolverUnknowns),
-		obs.A("cache_hits", res.CacheHits), obs.A("cache_misses", res.CacheMisses))
+		obs.A("cache_hits", res.CacheHits), obs.A("cache_reused", res.CompReused),
+		obs.A("cache_misses", res.CacheMisses))
 	vspan.End(obs.A("rank", rank), obs.A("outcome", out.Label()),
 		obs.A("paths", out.Paths), obs.A("steps", out.Steps))
 	return out, vuln

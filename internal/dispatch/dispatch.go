@@ -22,7 +22,7 @@ import (
 // Magic identifies the protocol and its version. The Hello payload must
 // match exactly; mismatches (old binary, wrong port) fail the handshake
 // with a descriptive error instead of undefined framing behavior.
-const Magic = "statsym-dispatch/3"
+const Magic = "statsym-dispatch/4"
 
 // DefaultUnitDeadline bounds one unit's round trip when the caller does
 // not choose a deadline. Generous: a unit is a whole candidate attempt,

@@ -2,6 +2,8 @@ package interp
 
 import (
 	"path/filepath"
+	"slices"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -67,5 +69,31 @@ func TestInputJSONBinaryProperty(t *testing.T) {
 func TestLoadInputErrors(t *testing.T) {
 	if _, err := LoadInput(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// TestInputLines pins the witness rendering both CLIs print: ints, then
+// strings, then environment variables, each in key order, then the
+// arguments — the same lines for the same input, whatever the map order.
+func TestInputLines(t *testing.T) {
+	in := &Input{
+		Ints: map[string]int64{"items": 1, "buckets": 4, "discount": 88, "a": -2},
+		Strs: map[string]string{"path": "/x", "host": "h"},
+		Env:  map[string]string{"TERM": "vt100", "HOME": "/root"},
+		Args: []string{"-v", "f"},
+	}
+	want := []string{
+		"int a = -2", "int buckets = 4", "int discount = 88", "int items = 1",
+		`string host = "h"`, `string path = "/x"`,
+		`env HOME = "/root"`, `env TERM = "vt100"`,
+		`args = "-v" "f"`,
+	}
+	for i := 0; i < 20; i++ {
+		if got := in.Lines(strconv.Quote); !slices.Equal(got, want) {
+			t.Fatalf("Lines:\n got %q\nwant %q", got, want)
+		}
+	}
+	if got := (&Input{}).Lines(strconv.Quote); len(got) != 0 {
+		t.Errorf("empty input rendered %q", got)
 	}
 }

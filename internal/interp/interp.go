@@ -8,6 +8,7 @@ package interp
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/bytecode"
@@ -141,6 +142,40 @@ func (in *Input) Arg(i int64) string {
 		return ""
 	}
 	return in.Args[i]
+}
+
+// Lines renders the input one line per value, so that equal inputs print
+// alike: "int k = v" lines, then "string k = ..." and "env k = ..." lines,
+// each kind in key order, then one "args = ..." line when there are
+// arguments. quote renders a string value.
+func (in *Input) Lines(quote func(string) string) []string {
+	var out []string
+	for _, k := range sortedKeys(in.Ints) {
+		out = append(out, fmt.Sprintf("int %s = %d", k, in.Ints[k]))
+	}
+	for _, k := range sortedKeys(in.Strs) {
+		out = append(out, fmt.Sprintf("string %s = %s", k, quote(in.Strs[k])))
+	}
+	for _, k := range sortedKeys(in.Env) {
+		out = append(out, fmt.Sprintf("env %s = %s", k, quote(in.Env[k])))
+	}
+	if len(in.Args) > 0 {
+		line := "args ="
+		for _, a := range in.Args {
+			line += " " + quote(a)
+		}
+		out = append(out, line)
+	}
+	return out
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // HookEvent is delivered to the instrumentation hook at function entry and

@@ -18,6 +18,7 @@ const (
 	MetricSolverUnsat   = "solver.unsat"
 	MetricSolverUnknown = "solver.unknown"
 	MetricCacheHits     = "solver.cache.hits"
+	MetricCacheReused   = "solver.cache.reused" // components answered from their records, no lookup
 	MetricCacheMisses   = "solver.cache.misses"
 
 	// Query-cache eviction pressure (internal/solver). Evictions is the

@@ -86,6 +86,7 @@ type AttemptRow struct {
 	Steps        int64
 	SolverChecks int
 	CacheHits    int
+	CompReused   int
 	CacheMisses  int
 	SolverTime   string
 	Elapsed      string
@@ -168,6 +169,7 @@ func Build(rep *core.Report, now string) *Model {
 			Steps:        a.Steps,
 			SolverChecks: a.SolverChecks,
 			CacheHits:    a.CacheHits,
+			CompReused:   a.CompReused,
 			CacheMisses:  a.CacheMisses,
 			SolverTime:   a.SolverTime.Round(time.Microsecond).String(),
 			Elapsed:      a.Elapsed.Round(time.Microsecond).String(),
@@ -286,8 +288,8 @@ var page = template.Must(template.New("report").Parse(`<!DOCTYPE html>
 </table>
 
 <h2>Exploration attempts</h2>
-<table><tr><th>candidate</th><th>status</th><th>paths</th><th>steps</th><th>solver checks</th><th>cache hits</th><th>cache misses</th><th>solver time</th><th>time</th></tr>
-{{range .Attempts}}<tr><td>{{.Index}}</td><td>{{.Status}}</td><td>{{.Paths}}</td><td>{{.Steps}}</td><td>{{.SolverChecks}}</td><td>{{.CacheHits}}</td><td>{{.CacheMisses}}</td><td>{{.SolverTime}}</td><td>{{.Elapsed}}</td></tr>{{end}}
+<table><tr><th>candidate</th><th>status</th><th>paths</th><th>steps</th><th>solver checks</th><th>cache hits</th><th>reused components</th><th>cache misses</th><th>solver time</th><th>time</th></tr>
+{{range .Attempts}}<tr><td>{{.Index}}</td><td>{{.Status}}</td><td>{{.Paths}}</td><td>{{.Steps}}</td><td>{{.SolverChecks}}</td><td>{{.CacheHits}}</td><td>{{.CompReused}}</td><td>{{.CacheMisses}}</td><td>{{.SolverTime}}</td><td>{{.Elapsed}}</td></tr>{{end}}
 </table>
 
 {{if .Metrics}}

@@ -11,7 +11,8 @@ import (
 // constraint conjunction. KLEE caches solver queries for the same reason:
 // symbolic execution re-issues many identical path-condition prefixes.
 //
-// Layers, cheapest first:
+// Layers, cheapest first, below the caller's own per-component records
+// (see LookupComponents):
 //
 //  1. a bounded LRU of exact conjunctions (digest-keyed, with the stored
 //     conjunction verified on every hit so an FNV-64 collision can never
@@ -66,6 +67,11 @@ type CachedSolver struct {
 	Hits, Misses  int
 	Evictions     int
 	Invalidations int
+
+	// Reused counts the components of LookupComponents walks that the
+	// caller answered from its own records, which look nothing up. Hits +
+	// Reused is what Hits would count had every component been looked up.
+	Reused int
 
 	// Queries are the logical solver verdicts: one Check per query that
 	// missed the local LRU, split by outcome. Unlike S.Stats (which

@@ -7,17 +7,31 @@ import "context"
 type Component struct {
 	Cons   []Constraint
 	Digest Digest
+	// Before counts the components of the conjunction between this one and
+	// the one listed before it (or the start) that the caller answers from
+	// its own records instead of listing them (see LookupComponents).
+	Before int
+	// Model is the component's model once LookupComponents has looked it
+	// up and found it satisfiable.
+	Model Model
 }
 
-// CheckComponents decides a conjunction given as its independent
+// LookupComponents decides a conjunction given as its independent
 // components (KLEE's constraint independence): the conjunction is
-// satisfiable iff every component is, and a model is the union of the
-// component models. Each component goes through the cache pipeline on its
-// own, in order, so component verdicts memoize individually and a
-// conjunction that grows by one constraint re-solves only the component
-// it joins. The first Unsat component refutes the conjunction and ends the
-// check. A lone component is checked as is and its model returned
-// unmerged.
+// satisfiable iff every component is. comps lists, in the conjunction's
+// component order, the components to look up; the caller answers every
+// other one from its own record of an earlier check of that exact
+// component through this solver, which found it satisfiable. Those are
+// counted by the Before fields and after, the number that follow the last
+// listed component.
+//
+// Each listed component goes through the cache pipeline on its own, in
+// order, and its model is stored in it, so component verdicts
+// memoize individually and a conjunction that grows by one constraint
+// re-solves only the component it joins. The first Unsat component refutes
+// the conjunction and ends the check. The components answered from
+// records count in Reused as far as that walk reaches, so Hits + Reused is
+// what Hits would count had every component been looked up.
 //
 // The caller supplies the components, already split and digested: the
 // executor keeps each state's components incrementally rather than
@@ -30,30 +44,44 @@ type Component struct {
 // The context reaches each solve. A cancelled check keeps walking the
 // remaining components: cache hits are still served, and every solve
 // returns Unknown, uncached.
-func (cs *CachedSolver) CheckComponents(ctx context.Context, t *VarTable, comps []Component) (Result, Model) {
-	switch len(comps) {
-	case 0:
-		return cs.checkDigest(ctx, t, nil, Digest{})
-	case 1:
-		return cs.checkDigest(ctx, t, comps[0].Cons, comps[0].Digest)
-	}
-	merged := make(Model, len(comps)) // about one binding per component
+func (cs *CachedSolver) LookupComponents(ctx context.Context, t *VarTable, comps []Component, after int) Result {
 	result := Sat
-	for _, comp := range comps {
-		res, m := cs.checkDigest(ctx, t, comp.Cons, comp.Digest)
+	for i := range comps {
+		c := &comps[i]
+		cs.Reused += c.Before
+		var res Result
+		res, c.Model = cs.checkDigest(ctx, t, c.Cons, c.Digest)
 		switch res {
 		case Unsat:
-			return Unsat, nil
+			return Unsat
 		case Unknown:
 			result = Unknown
-		case Sat:
-			for k, v := range m {
-				merged[k] = v
-			}
 		}
 	}
-	if result != Sat {
-		return result, nil
+	cs.Reused += after
+	return result
+}
+
+// CheckComponents decides a conjunction given as all of its independent
+// components, looking each one up (see LookupComponents), and returns a
+// model that is the union of the component models. A lone component's
+// model is returned unmerged, and an empty conjunction is looked up like
+// any other.
+func (cs *CachedSolver) CheckComponents(ctx context.Context, t *VarTable, comps []Component) (Result, Model) {
+	if len(comps) == 0 {
+		return cs.checkDigest(ctx, t, nil, Digest{})
+	}
+	if res := cs.LookupComponents(ctx, t, comps, 0); res != Sat {
+		return res, nil
+	}
+	if len(comps) == 1 {
+		return Sat, comps[0].Model
+	}
+	merged := make(Model, len(comps)) // about one binding per component
+	for _, c := range comps {
+		for k, v := range c.Model {
+			merged[k] = v
+		}
 	}
 	return Sat, merged
 }

@@ -112,7 +112,7 @@ func benchForkState(depth, localsPerFrame, nCons int) *State {
 func legacyFork(st *State) *State {
 	ns := &State{ID: -1, Status: StatusActive, Depth: st.Depth,
 		PathIndex: st.PathIndex, Diverted: st.Diverted, Revived: st.Revived,
-		LastModel: st.LastModel, tok: new(ownerToken)}
+		LastModel: st.LastModel, qm: st.qm, qmPrev: st.qmPrev, tok: new(ownerToken)}
 	ns.Frames = make([]*Frame, len(st.Frames))
 	for i, f := range st.Frames {
 		ns.Frames[i] = f.ownedCopy()
@@ -121,7 +121,7 @@ func legacyFork(st *State) *State {
 	pc := st.pc()
 	ns.path = &pathStore{owner: ns.tok,
 		pc: pathCond{cons: deepCopyVec(pc.cons, ns.tok), comps: deepCopyVec(pc.comps, ns.tok),
-			vars: deepCopyVec(pc.vars, ns.tok), ground: pc.ground, digest: pc.digest},
+			vars: deepCopyVec(pc.vars, ns.tok), mask0: pc.mask0, masks: deepCopyVec(pc.masks, ns.tok), ground: pc.ground, digest: pc.digest},
 		trace: deepCopyVec(st.store().trace, ns.tok)}
 	if st.heap != nil {
 		ns.heap = make(map[*SymBuffer]*bufCells, len(st.heap))
@@ -185,8 +185,10 @@ func BenchmarkForkCoWThenTouch(b *testing.B) {
 // BenchmarkFullQuery is guided-deep's full-query shape: a state whose
 // path condition holds 1,200 constraints in 570 components forks, the
 // child commits a branch condition, and a full check of a new condition
-// runs against the whole path condition. Only the component the condition
-// joins re-solves; the other 569 hit the query cache.
+// runs against the whole path condition. Like guided-deep's states, the
+// parent has run a full query before, so its components carry records:
+// the child's query looks up only the component the condition joins and
+// the one its commit wrote, and answers the rest from their records.
 func BenchmarkFullQuery(b *testing.B) {
 	prog := bytecode.MustCompile("fq", `func main() int { return 0; }`)
 	ex := New(prog, nil, DefaultOptions())
@@ -200,6 +202,9 @@ func BenchmarkFullQuery(b *testing.B) {
 	}
 	for i := 0; i < 60; i++ {
 		st.AddConstraint(solver.Le(solver.VarExpr(vars[i]), solver.ConstExpr(200)))
+	}
+	if ok, _ := ex.satisfiable(st, solver.Le(solver.VarExpr(vars[0]), solver.ConstExpr(250))); !ok {
+		b.Fatal("parent's full query refuted")
 	}
 	query := func(n int) {
 		child := st.fork()

@@ -282,7 +282,10 @@ func decodeRegistry(d *stateDecoder, reg *inputRegistry) error {
 // encodeCounters writes the executor's deterministic effort counters (the
 // fields of res) and the solver's logical query counters (those of cs),
 // so a resumed run's final Result reports run-global totals rather than
-// resumed-portion ones.
+// resumed-portion ones. Component records are not part of the format:
+// the hits slot holds Hits + Reused, what it held before records existed,
+// and a resumed run's states start without records, so its hits plus
+// reused components total an uninterrupted run's.
 func (ex *Executor) encodeCounters(w *snapshot.Writer, res *Result, cs *solver.CachedSolver) {
 	w.Int(ex.nextID)
 	w.Int(ex.nextSeq)
@@ -300,7 +303,7 @@ func (ex *Executor) encodeCounters(w *snapshot.Writer, res *Result, cs *solver.C
 	w.Int(cs.Queries.Sat)
 	w.Int(cs.Queries.Unsat)
 	w.Int(cs.Queries.Unknown)
-	w.Int(cs.Hits)
+	w.Int(cs.Hits + cs.Reused)
 	w.Int(cs.Misses)
 	// Two retired slots, always zero: they held the solver cache's
 	// fast-path counters, and keeping them keeps checkpoint bytes stable.

@@ -3,6 +3,8 @@ package symexec
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"repro/internal/bytecode"
@@ -171,9 +173,13 @@ type Result struct {
 	// SolverTime the wall clock spent inside non-memoized solver checks —
 	// surfaced here so pipeline reports need not reach into the solver.
 	// CacheEvictions counts LRU evictions from the exact-match cache.
+	// CompReused counts the components full queries answered from their
+	// records instead of looking them up; CacheHits + CompReused is the
+	// hit count of a run that looks every component up.
 	CacheHits      int
 	CacheMisses    int
 	CacheEvictions int
+	CompReused     int
 	SolverTime     time.Duration
 	// Exhausted reports the state-budget abort (KLEE OOM analogue);
 	// StepLimited and TimedOut report the other resource aborts.
@@ -435,6 +441,7 @@ func (ex *Executor) runContext(ctx context.Context, loop func(*Executor)) *Resul
 	ex.res.SolverUnsat = ex.Solver.Queries.Unsat
 	ex.res.CacheHits = ex.Solver.Hits
 	ex.res.CacheMisses = ex.Solver.Misses
+	ex.res.CompReused = ex.Solver.Reused
 	ex.res.CacheEvictions = ex.Solver.Evictions
 	ex.res.SolverTime = ex.Solver.WallTime() + ex.extraWall
 	ex.res.Elapsed = time.Since(start)
@@ -473,6 +480,7 @@ func (ex *Executor) emitProgress() {
 		obs.A("suspended", len(ex.suspended)),
 		obs.A("solver_checks", ex.Solver.Queries.Checks),
 		obs.A("cache_hits", ex.Solver.Hits),
+		obs.A("cache_reused", ex.Solver.Reused),
 		obs.A("cache_misses", ex.Solver.Misses),
 		obs.A("solver_wall_us", ex.Solver.WallTime().Microseconds()),
 	}
@@ -503,6 +511,7 @@ func (ex *Executor) mirrorMetrics() {
 	m.Counter(obs.MetricSolverUnsat).Add(int64(r.SolverUnsat))
 	m.Counter(obs.MetricSolverUnknown).Add(int64(r.SolverUnknowns))
 	m.Counter(obs.MetricCacheHits).Add(int64(r.CacheHits))
+	m.Counter(obs.MetricCacheReused).Add(int64(r.CompReused))
 	m.Counter(obs.MetricCacheMisses).Add(int64(r.CacheMisses))
 	// Evictions split by cause: capacity pressure (r.CacheEvictions, the
 	// historical meaning) vs origin invalidation after a code change. The
@@ -654,9 +663,9 @@ func allHold(cons []solver.Constraint, m solver.Model) bool {
 //  3. disjoint solve: extras whose variables the path condition does not
 //     mention are decided in isolation and their model merged.
 //
-// A full query hands the solver the state's components with the extras
-// merged into those they join (KLEE's independence optimization): only
-// those re-solve, the rest hit the query cache.
+// A full query (fullQuery) looks up only the components the extras join,
+// merged with them (KLEE's independence optimization), and the components
+// without a record of their last check.
 func (ex *Executor) satisfiable(st *State, extra ...solver.Constraint) (bool, solver.Model) {
 	// Stamp the query with its origin function's content hash (persistence
 	// attribution; see Options.OriginHashes). The model-check shortcut
@@ -689,7 +698,7 @@ func (ex *Executor) satisfiable(st *State, extra ...solver.Constraint) (bool, so
 		}
 		// Unknown: fall through to the full query.
 	}
-	res, m := ex.Solver.CheckComponents(ex.runCtx(), ex.Table, st.pc().components(&ex.query, extra))
+	res, m := ex.fullQuery(st, extra)
 	switch res {
 	case solver.Sat:
 		return true, m
@@ -700,6 +709,107 @@ func (ex *Executor) satisfiable(st *State, extra ...solver.Constraint) (bool, so
 		// definite faults are still confirmed by concrete witnesses).
 		return true, nil
 	}
+}
+
+// fullQuery decides pc(st) ∧ extra through the solver cache. It looks up
+// only the groups the extras form and the path-condition components that
+// hold no record; every other component is answered by its record. A
+// satisfiable query's model is the state's previous full-query model with
+// the bindings of the looked-up components replaced, built in at most one
+// map copy, and equals the union of every component's model. When the
+// executor keeps records (recording), a satisfiable query records each
+// component it looked up alone and becomes the state's query model.
+func (ex *Executor) fullQuery(st *State, extra []solver.Constraint) (solver.Result, solver.Model) {
+	q, pc := &ex.query, st.pc()
+	look, after := pc.lookups(q, extra)
+	if len(look) == 0 && after == 0 {
+		return ex.Solver.CheckComponents(ex.runCtx(), ex.Table, nil)
+	}
+	if res := ex.Solver.LookupComponents(ex.runCtx(), ex.Table, look, after); res != solver.Sat {
+		return res, nil
+	}
+	lone := len(look) == 1 && look[0].Before == 0 && after == 0
+	var m solver.Model
+	switch qm := st.qm; {
+	case lone:
+		m = look[0].Model
+	case qm == nil:
+		// No record anywhere in the lineage, so every component was
+		// looked up.
+		m = make(solver.Model, len(look))
+	default:
+		m = make(solver.Model, len(qm.m)+len(look)) // a presized copy beats maps.Clone
+		for k, v := range qm.m {
+			m[k] = v
+		}
+		// Repair the base: drop the bindings no component holds, and
+		// restore the components answered by their records now.
+		for _, v := range qm.fresh {
+			delete(m, v)
+		}
+		for _, s := range qm.restore {
+			_, joined := slices.BinarySearchFunc(q.touch, int(s), func(tc pcTouch, s int) int { return tc.slot - s })
+			if c := pc.comps.at(int(s)); c != nil && c.model != nil && !joined {
+				maps.Copy(m, c.model)
+			}
+		}
+	}
+	if !lone {
+		for _, c := range look {
+			maps.Copy(m, c.Model)
+		}
+	}
+	if ex.recording(pc) {
+		ex.record(st, m, extra)
+	}
+	return solver.Sat, m
+}
+
+// recordMinSlots is the number of component slots a path condition must
+// exceed before its full queries record verdicts. Recording costs every
+// query a query model and every commit a settle, while a record saves one
+// cache lookup per component, so it pays only on long path conditions.
+// Pure-mode BFS to the state budget never queries a path condition of
+// more than 16 slots on the bundled programs (2 to 7 on average), and
+// slowed down by records; guided grep's queries hold more than 16 but
+// for 59 of 15,011, and guided thttpd's about 570 components.
+const recordMinSlots = 16
+
+// recording reports whether a full query of pc records component
+// verdicts: when pc has more than recordMinSlots slots, and the run keeps
+// records at all. A record stands for a lookup in the cache that made it,
+// so only a run whose states always query one cache keeps them: the lone
+// slot of a width-1 run, which checks with the run's own solver. Wider
+// epochs give each slot its own cache, and the cache-disabled ablation
+// has none.
+func (ex *Executor) recording(pc *pathCond) bool {
+	return pc.comps.len() > recordMinSlots && ex.Opts.width() == 1 && !ex.Solver.Disabled
+}
+
+// record files the verdicts of a satisfiable full query whose lookups are
+// in ex.query: each path-condition component it looked up alone records
+// its model, and m becomes the state's query model.
+func (ex *Executor) record(st *State, m solver.Model, extra []solver.Constraint) {
+	q := &ex.query
+	p, tok := st.pathForWrite()
+	qm := &queryModel{m: m, restore: make([]int32, len(q.touch))}
+	for i, tc := range q.touch {
+		qm.restore[i] = int32(tc.slot)
+	}
+	for i, s := range q.slots {
+		if s >= 0 {
+			p.pc.keep(tok, s, q.look[i].Model)
+			qm.recorded = append(qm.recorded, int32(s))
+		}
+	}
+	for _, c := range extra {
+		for _, tm := range c.E.Terms {
+			if !p.pc.mentions(tm.Var) {
+				qm.fresh = append(qm.fresh, tm.Var)
+			}
+		}
+	}
+	st.qm, st.qmPrev = qm, st.qm
 }
 
 // disjointFromPC reports whether no extra constraint mentions a variable
@@ -771,6 +881,7 @@ func (ex *Executor) commit(st *State, m solver.Model, cons ...solver.Constraint)
 	if m != nil {
 		st.LastModel = m
 	}
+	st.settleQuery()
 }
 
 // TryAddConstraints applies predicate constraints to a state if they are

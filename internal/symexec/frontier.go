@@ -177,6 +177,7 @@ func (ex *Executor) foldSlotSolver(sx *Executor) {
 	ex.Solver.Queries.Unsat += sx.Solver.Queries.Unsat
 	ex.Solver.Queries.Unknown += sx.Solver.Queries.Unknown
 	ex.Solver.Hits += sx.Solver.Hits
+	ex.Solver.Reused += sx.Solver.Reused
 	ex.Solver.Misses += sx.Solver.Misses
 	ex.Solver.Evictions += sx.Solver.Evictions
 	ex.Solver.SharedHits += sx.Solver.SharedHits

@@ -1,6 +1,7 @@
 package symexec
 
 import (
+	"math/bits"
 	"slices"
 
 	"repro/internal/solver"
@@ -17,17 +18,29 @@ import (
 // (solvertest.Partition) of pc ++ extras orders them, and a query touches
 // only the components its extras join.
 //
+// A component also records the verdict of its last check, so a full query
+// looks up only the groups its extras form and the components without a
+// record (lookups).
+//
 // All of it is shared with forked states copy-on-write under the state's
-// owner token: the constraints, the slot table and the variable index are
-// cowVecs, and a component is copied before its first write under a new
-// token.
+// owner token: the constraints, the slot table, the variable index and the
+// slot masks past the first 32 slots are cowVecs, and a component is
+// copied before its first write under a new token — a record is a write
+// too.
 type pathCond struct {
 	cons   cowVec[solver.Constraint]
-	comps  cowVec[*pcComp] // by slot; nil once merged into a lower slot
-	vars   cowVec[pcVar]   // by solver.Var
-	ground int             // 1 + slot of the ground component (0: none)
+	comps  cowVec[*pcComp]  // by slot; nil once merged into a lower slot
+	vars   cowVec[pcVar]    // by solver.Var
+	mask0  slotMask         // slots 0-31, copied with the header
+	masks  cowVec[slotMask] // slots 32 on, by slot / 32 - 1
+	ground int              // 1 + slot of the ground component (0: none)
 	digest solver.Digest
 }
+
+// slotMask describes 32 consecutive component slots, one bit each: live
+// marks the slots that hold a component, bare the live slots whose
+// component holds no record.
+type slotMask struct{ live, bare uint32 }
 
 // pcComp is one component: its constraints in path-condition order, their
 // positions in the path condition, its variables with the interval the
@@ -35,6 +48,12 @@ type pathCond struct {
 // constraint that tightens a bound joins or replaces one in the bounded
 // variable's component, so a bound update never writes anything a commit
 // does not write anyway.
+//
+// A component's record is the verdict of its last check: model is set
+// when that check, a full query's lookup of exactly this component, found
+// it satisfiable, and is the model it returned. Only the satisfiable
+// verdict is recorded. Any write to the component drops the record: a
+// commit, a bound compaction or a merge.
 type pcComp struct {
 	owner  *ownerToken
 	idx    []int32
@@ -42,6 +61,7 @@ type pcComp struct {
 	vars   []solver.Var
 	bounds []VarBounds // parallel to vars
 	digest solver.Digest
+	model  solver.Model // the record (nil: none)
 }
 
 // pcVar is a variable's entry in the index: the component that mentions
@@ -182,15 +202,50 @@ func (pc *pathCond) replace(tok *ownerToken, i int, c solver.Constraint) {
 	pc.noteBounds(comp, c)
 }
 
-// newComp opens an empty component in the next slot.
+// newComp opens an empty component, without a record, in the next slot.
 func (pc *pathCond) newComp(tok *ownerToken) int {
 	s := pc.comps.len()
 	pc.comps.push(tok, &pcComp{owner: tok})
+	pc.setSlot(tok, s, true, true)
 	return s
 }
 
-// compForWrite returns component s, copied first unless tok owns it.
+// mask returns the masks of slots 32w to 32w+31.
+func (pc *pathCond) mask(w int) slotMask {
+	if w == 0 {
+		return pc.mask0
+	}
+	return pc.masks.at(w - 1)
+}
+
+// setSlot sets slot s's bits in the masks.
+func (pc *pathCond) setSlot(tok *ownerToken, s int, live, bare bool) {
+	m, bit := &pc.mask0, uint32(1)<<(s&31)
+	if s >= 32 {
+		m = pc.masks.ref(tok, s>>5-1)
+	}
+	m.live, m.bare = m.live&^bit, m.bare&^bit
+	if live {
+		m.live |= bit
+	}
+	if bare {
+		m.bare |= bit
+	}
+}
+
+// compForWrite returns component s for a write under tok, copied first
+// unless tok owns it, with its record dropped.
 func (pc *pathCond) compForWrite(tok *ownerToken, s int) *pcComp {
+	c := pc.compOwned(tok, s)
+	if c.model != nil {
+		c.model = nil
+		pc.setSlot(tok, s, true, true)
+	}
+	return c
+}
+
+// compOwned returns component s, copied first unless tok owns it.
+func (pc *pathCond) compOwned(tok *ownerToken, s int) *pcComp {
 	c := pc.comps.at(s)
 	if c.owner == tok {
 		return c
@@ -202,9 +257,21 @@ func (pc *pathCond) compForWrite(tok *ownerToken, s int) *pcComp {
 		vars:   append(make([]solver.Var, 0, len(c.vars)+1), c.vars...),
 		bounds: append(make([]VarBounds, 0, len(c.bounds)+1), c.bounds...),
 		digest: c.digest,
+		model:  c.model,
 	}
 	pc.comps.set(tok, s, nc)
 	return nc
+}
+
+// keep records model as the satisfiable verdict of component s, copying
+// the component first unless tok owns it. A nil model (a verdict decoded
+// without bindings) records nothing.
+func (pc *pathCond) keep(tok *ownerToken, s int, model solver.Model) {
+	if model == nil {
+		return
+	}
+	pc.compOwned(tok, s).model = model
+	pc.setSlot(tok, s, true, false)
 }
 
 // absorb merges component from into dst, the component in slot s,
@@ -231,16 +298,19 @@ func (pc *pathCond) absorb(tok *ownerToken, dst *pcComp, s, from int) {
 	dst.bounds = append(dst.bounds, src.bounds...)
 	dst.digest = dst.digest.Join(src.digest)
 	pc.comps.set(tok, from, nil)
+	pc.setSlot(tok, from, false, false)
 }
 
-// pcQuery is an executor's scratch space for assembling the components of
-// one query, reused so that assembly allocates nothing once warm.
+// pcQuery is an executor's scratch space for assembling one full query,
+// reused so that assembly allocates nothing once warm.
 type pcQuery struct {
-	comps  []solver.Component
+	look   []solver.Component  // what the query looks up, in component order
+	slots  []int               // parallel to look: the component's slot (-1: a group)
 	cons   []solver.Constraint // the constraints of the groups
 	root   []int               // union-find over the extras
 	groups []pcGroup
 	touch  []pcTouch
+	order  []int // the groups with an anchor, by anchor
 }
 
 // pcGroup is a component of pc ∧ extras that contains extras: the extras
@@ -257,12 +327,100 @@ type pcTouch struct {
 	slot, group, pos int
 }
 
-// components returns the components of pc ∧ extras in the order of the
-// reference partition of pc ++ extras: components by the position of their
-// first constraint, constraints by position. The path condition's
-// components that no extra joins are returned as stored. The result
-// aliases the path condition and q; it is valid until either changes.
-func (pc *pathCond) components(q *pcQuery, extras []solver.Constraint) []solver.Component {
+// lookups lists what a full query of pc ∧ extras looks up, in the order of
+// the reference partition of pc ++ extras (components by the position of
+// their first constraint, constraints by position): every group the
+// extras form with the path-condition components they join, and every
+// component no extra joins that holds no record. The listed components'
+// Before fields and after count the others, the components the query
+// answers from their records. q.slots gives each listed component's slot
+// (-1 for a group) and q.touch the slots the groups join, in order. The
+// result aliases the path condition and q; it is valid until either
+// changes.
+func (pc *pathCond) lookups(q *pcQuery, extras []solver.Constraint) (look []solver.Component, after int) {
+	pc.group(q, extras)
+	q.order = q.order[:0]
+	for gi, g := range q.groups {
+		if g.anchor >= 0 {
+			q.order = append(q.order, gi)
+		}
+	}
+	// Anchors are distinct: a slot belongs to one group.
+	slices.SortFunc(q.order, func(a, b int) int { return q.groups[a].anchor - q.groups[b].anchor })
+
+	// A component's position is the number of components before it: the
+	// live slots below its slot that no group joins, plus the groups
+	// anchored below it. The groups without an anchor come last.
+	q.look, q.slots = q.look[:0], q.slots[:0]
+	prev, t, o := -1, 0, 0
+	for w := 0; w<<5 < pc.comps.len(); w++ {
+		for b := pc.mask(w).bare; b != 0; b &= b - 1 {
+			s := w<<5 | bits.TrailingZeros32(b)
+			for ; o < len(q.order) && q.groups[q.order[o]].anchor < s; o++ {
+				t = q.touchedBelow(t, q.groups[q.order[o]].anchor)
+				prev = q.listGroup(q.order[o], pc.liveBelow(q.groups[q.order[o]].anchor)-t+o, prev)
+			}
+			if t = q.touchedBelow(t, s); t < len(q.touch) && q.touch[t].slot == s {
+				continue
+			}
+			c := pc.comps.at(s)
+			prev = q.list(solver.Component{Cons: c.cons, Digest: c.digest}, s, pc.liveBelow(s)-t+o, prev)
+		}
+	}
+	for ; o < len(q.order); o++ {
+		t = q.touchedBelow(t, q.groups[q.order[o]].anchor)
+		prev = q.listGroup(q.order[o], pc.liveBelow(q.groups[q.order[o]].anchor)-t+o, prev)
+	}
+	n := pc.liveBelow(pc.comps.len()) - len(q.touch) + len(q.order)
+	for gi, g := range q.groups {
+		if g.anchor < 0 {
+			prev = q.listGroup(gi, n, prev)
+			n++
+		}
+	}
+	return q.look, n - 1 - prev
+}
+
+// list appends c, the component in slot (-1: a group) at position pos,
+// after the one listed at position prev, and returns pos.
+func (q *pcQuery) list(c solver.Component, slot, pos, prev int) int {
+	c.Before = pos - prev - 1
+	q.look, q.slots = append(q.look, c), append(q.slots, slot)
+	return pos
+}
+
+// listGroup lists group gi at position pos (see list).
+func (q *pcQuery) listGroup(gi, pos, prev int) int {
+	g := &q.groups[gi]
+	return q.list(solver.Component{Cons: q.cons[g.start:g.end], Digest: g.digest}, -1, pos, prev)
+}
+
+// touchedBelow advances t, a count of joined slots below some slot, to the
+// count below s ≥ that slot.
+func (q *pcQuery) touchedBelow(t, s int) int {
+	for t < len(q.touch) && q.touch[t].slot < s {
+		t++
+	}
+	return t
+}
+
+// liveBelow counts the components in slots below s.
+func (pc *pathCond) liveBelow(s int) int {
+	n := 0
+	for w := 0; w < s>>5; w++ {
+		n += bits.OnesCount32(pc.mask(w).live)
+	}
+	if s&31 != 0 {
+		n += bits.OnesCount32(pc.mask(s>>5).live & (1<<(s&31) - 1))
+	}
+	return n
+}
+
+// group forms the groups of pc ∧ extras: the extras linked transitively,
+// each with the path-condition components it joins and its constraints,
+// interleaved by position, in q.cons. q.touch lists the joined slots in
+// ascending order.
+func (pc *pathCond) group(q *pcQuery, extras []solver.Constraint) {
 	// Two extras share a component iff they are linked, transitively.
 	q.root = q.root[:0]
 	for j := range extras {
@@ -308,34 +466,6 @@ func (pc *pathCond) components(q *pcQuery, extras []solver.Constraint) []solver.
 		q.groups = append(q.groups, g)
 	}
 	slices.SortFunc(q.touch, func(a, b pcTouch) int { return a.slot - b.slot })
-
-	out, p := q.comps[:0], 0
-	for ci, ch := range pc.comps.chunks {
-		if ch == nil {
-			continue
-		}
-		for k, comp := range ch.data {
-			if comp == nil {
-				continue
-			}
-			s := ci<<cellChunkShift | k
-			if p < len(q.touch) && q.touch[p].slot == s {
-				if g := &q.groups[q.touch[p].group]; g.anchor == s {
-					out = append(out, solver.Component{Cons: q.cons[g.start:g.end], Digest: g.digest})
-				}
-				p++
-				continue
-			}
-			out = append(out, solver.Component{Cons: comp.cons, Digest: comp.digest})
-		}
-	}
-	for _, g := range q.groups {
-		if g.anchor < 0 {
-			out = append(out, solver.Component{Cons: q.cons[g.start:g.end], Digest: g.digest})
-		}
-	}
-	q.comps = out
-	return out
 }
 
 // join records that group gi, whose touches start at t0, joins slot s.

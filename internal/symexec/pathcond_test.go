@@ -1,7 +1,9 @@
 package symexec
 
 import (
+	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sync"
@@ -78,10 +80,13 @@ type pcGen struct {
 	rng  *rand.Rand
 	tbl  *solver.VarTable
 	pool []solver.Var
+	// checked holds the records requireRecords has compared with a
+	// fresh check already, by component.
+	checked map[*pcComp]solver.Model
 }
 
 func newPCGen(seed int64, nvars int) *pcGen {
-	g := &pcGen{rng: rand.New(rand.NewSource(seed)), tbl: solver.NewVarTable()}
+	g := &pcGen{rng: rand.New(rand.NewSource(seed)), tbl: solver.NewVarTable(), checked: map[*pcComp]solver.Model{}}
 	for i := 0; i < nvars; i++ {
 		g.pool = append(g.pool, g.tbl.NewVarBounded(fmt.Sprintf("v%d", i), -20, 20))
 	}
@@ -132,9 +137,10 @@ func (g *pcGen) extras() []solver.Constraint {
 }
 
 // requireOracle checks st against its reference path condition: the
-// constraints, PCDigest, the variable index, and the components of pc ∧
-// extras for no extras and for every prefix of extras — order, contents
-// and digests equal to the reference partition's.
+// constraints, PCDigest, the variable index, the slot masks, every
+// component's record, and the components of pc ∧ extras for no extras and
+// for every prefix of extras — order, contents and digests equal to the
+// reference partition's.
 func requireOracle(t *testing.T, label string, st *State, ref []solver.Constraint, g *pcGen, extras []solver.Constraint) {
 	t.Helper()
 	got := st.Constraints()
@@ -155,24 +161,103 @@ func requireOracle(t *testing.T, label string, st *State, ref []solver.Constrain
 			t.Fatalf("%s: bounds(%d) = %+v, want %+v", label, v, b, want)
 		}
 	}
-	var q pcQuery
+	requireRecords(t, label, st, g)
 	for n := 0; n <= len(extras); n++ {
 		query := append(slices.Clip(ref), extras[:n]...)
+		got := partition(st, extras[:n])
 		want := solvertest.Components(query)
-		comps := st.pc().components(&q, extras[:n])
-		if len(comps) != len(want) {
-			t.Fatalf("%s: %d extras: %d components, want %d\nquery %v", label, n, len(comps), len(want), renderPC(query))
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d extras: %d components, want %d\nquery %v", label, n, len(got), len(want), renderPC(query))
 		}
 		for i := range want {
-			if !slices.EqualFunc(comps[i].Cons, want[i].Cons, sameConstraint) || comps[i].Digest != want[i].Digest {
+			if !slices.EqualFunc(got[i].Cons, want[i].Cons, sameConstraint) || got[i].Digest != want[i].Digest {
 				t.Fatalf("%s: %d extras: component %d\n got %v %+v\nwant %v %+v", label, n, i,
-					renderPC(comps[i].Cons), comps[i].Digest, renderPC(want[i].Cons), want[i].Digest)
+					renderPC(got[i].Cons), got[i].Digest, renderPC(want[i].Cons), want[i].Digest)
 			}
 		}
 	}
 }
 
-func sameConstraint(a, b solver.Constraint) bool { return a.String(nil) == b.String(nil) }
+// partition returns the components of pc(st) ∧ extras as a full query
+// sees them: what lookups lists, at the positions its Before fields and
+// after give, and in every other position the next component, by slot,
+// that no extra joins and that holds a record.
+func partition(st *State, extras []solver.Constraint) []solver.Component {
+	var q pcQuery
+	pc := st.pc()
+	look, after := pc.lookups(&q, extras)
+	var recorded []solver.Component
+	for s := 0; s < pc.comps.len(); s++ {
+		joined := slices.ContainsFunc(q.touch, func(tc pcTouch) bool { return tc.slot == s })
+		if c := pc.comps.at(s); c != nil && c.model != nil && !joined {
+			recorded = append(recorded, solver.Component{Cons: c.cons, Digest: c.digest})
+		}
+	}
+	var out []solver.Component
+	fill := func(n int) {
+		for ; n > 0 && len(recorded) > 0; n-- {
+			out, recorded = append(out, recorded[0]), recorded[1:]
+		}
+		for ; n > 0; n-- {
+			out = append(out, solver.Component{}) // a position without a component
+		}
+	}
+	for _, c := range look {
+		fill(c.Before)
+		out = append(out, c)
+	}
+	fill(after)
+	return append(out, recorded...) // records no position accounts for
+}
+
+// requireRecords checks that the slot masks mark exactly the live slots
+// and, among them, those without a record, and that every record is what
+// a fresh solver.Check of its component returns.
+func requireRecords(t *testing.T, label string, st *State, g *pcGen) {
+	t.Helper()
+	pc := st.pc()
+	for s := 0; s < max(pc.comps.len(), (pc.masks.len()+1)<<5); s++ {
+		c, m := pc.comps.at(s), pc.mask(s>>5)
+		live, bare := m.live>>(s&31)&1 == 1, m.bare>>(s&31)&1 == 1
+		if live != (c != nil) || bare != (c != nil && c.model == nil) {
+			t.Fatalf("%s: slot %d: masks say live=%v bare=%v, record %v", label, s, live, bare, c != nil && c.model != nil)
+		}
+		if c == nil || c.model == nil || sameModel(g.checked[c], c.model) {
+			continue
+		}
+		g.checked[c] = c.model
+		res, m2 := solver.New().Check(g.tbl, c.cons)
+		if res != solver.Sat || !maps.Equal(c.model, m2) {
+			t.Fatalf("%s: slot %d records Sat %v, a fresh check returns %v %v\ncomponent %v",
+				label, s, c.model, res, m2, renderPC(c.cons))
+		}
+	}
+}
+
+// requireFullQuery runs a recording full query of pc(st) ∧ extras and
+// checks its verdict and model against CheckComponents over the reference
+// partition on a fresh solver: the model must be exactly the union of the
+// component models, with no binding from anywhere else.
+func requireFullQuery(t *testing.T, label string, ex *Executor, st *State, ref, extras []solver.Constraint) (solver.Result, solver.Model) {
+	t.Helper()
+	res, m := ex.fullQuery(st, extras)
+	wantRes, want := solver.NewCached(solver.New()).CheckComponents(context.Background(), ex.Table,
+		solvertest.Components(append(slices.Clip(ref), extras...)))
+	if res != wantRes || !maps.Equal(m, want) {
+		t.Fatalf("%s: full query %v %v, want %v %v\nquery %v", label, res, m, wantRes, want,
+			renderPC(append(slices.Clip(ref), extras...)))
+	}
+	return res, m
+}
+
+// sameConstraint reports whether a and b render alike, comparing their
+// fields first.
+func sameConstraint(a, b solver.Constraint) bool {
+	if a.Op == b.Op && a.E.Const == b.E.Const && slices.Equal(a.E.Terms, b.E.Terms) {
+		return true
+	}
+	return a.String(nil) == b.String(nil)
+}
 
 func renderPC(cons []solver.Constraint) []string {
 	out := make([]string, len(cons))
@@ -202,29 +287,43 @@ func roundTrip(t *testing.T, st *State, prog *bytecode.Program) *State {
 }
 
 // TestPathCondMatchesPartition runs random interleavings of appends,
-// bound compactions, forks and checkpoint round trips over a population of
-// states. After every step each state's components must equal the
-// reference partition's on pc and on pc ∧ 1-3 extras, its digest and
-// variable index must match its reference path condition, and every other
-// state must be untouched.
+// bound compactions, forks, checkpoint round trips and recording full
+// queries over a population of states. After every step each state's
+// components must equal the reference partition's on pc and on pc ∧ 1-3
+// extras, its digest and variable index must match its reference path
+// condition, every record must be what a fresh check of its component
+// returns, and every other state must be untouched. Every full query's
+// verdict and model must be exactly CheckComponents' over the reference
+// partition, also after its state extended its model or committed the
+// query's extras.
 func TestPathCondMatchesPartition(t *testing.T) {
 	prog := bytecode.MustCompile("pc", `func main() int { return 0; }`)
 	mainFn := prog.Funcs[prog.MainIndex]
+	reused := 0
 	for seed := int64(1); seed <= 8; seed++ {
-		g := newPCGen(seed, 10)
+		g := newPCGen(seed, 16)
+		ex := New(prog, nil, DefaultOptions())
+		ex.Table = g.tbl
 		root := &State{Status: StatusActive, Frames: []*Frame{{Fn: mainFn}}}
 		states, refs := []*State{root}, [][]solver.Constraint{nil}
+		// Ballast: more components than recordMinSlots, each over a
+		// variable of its own, so that full queries record.
+		for i := 0; i <= recordMinSlots; i++ {
+			c := solver.Ne(solver.VarExpr(g.tbl.NewVarBounded("b", -20, 20)), solver.ConstExpr(5))
+			root.AddConstraint(c)
+			refs[0] = refAdd(refs[0], c)
+		}
 		for step := 0; step < 300; step++ {
 			i := g.rng.Intn(len(states))
 			st := states[i]
 			var op string
 			switch r := g.rng.Intn(20); {
-			case r < 13:
+			case r < 10:
 				op = "append"
 				c := g.constraint()
 				st.AddConstraint(c)
 				refs[i] = refAdd(refs[i], c)
-			case r < 15:
+			case r < 12:
 				// Tighten an existing bound in place.
 				op = "compact"
 				for _, c := range refs[i] {
@@ -235,36 +334,108 @@ func TestPathCondMatchesPartition(t *testing.T) {
 						break
 					}
 				}
-			case r < 18 && len(states) < 12:
+			case r < 15 && len(states) < 12:
 				op = "fork"
 				states = append(states, st.fork())
 				refs = append(refs, refs[i])
-			default:
+			case r < 16:
 				op = "checkpoint"
 				states[i] = roundTrip(t, st, prog)
+			default:
+				// A branch: two full queries, then a fork child may
+				// commit the second's extras and model and the state
+				// the first's, and the state may extend its model with
+				// a variable the path condition does not mention. A
+				// write may come between the queries, as the
+				// definitions some steps add do.
+				op = "query"
+				label := fmt.Sprintf("seed %d step %d", seed, step)
+				e1, e2 := g.extras(), g.extras()
+				if g.rng.Intn(4) == 0 {
+					e1 = nil // a check of the path condition alone
+				}
+				r1, m1 := requireFullQuery(t, label, ex, st, refs[i], e1)
+				if g.rng.Intn(2) == 0 {
+					c := g.constraint()
+					st.AddConstraint(c)
+					refs[i] = refAdd(refs[i], c)
+				}
+				r2, m2 := requireFullQuery(t, label, ex, st, refs[i], e2)
+				if r2 == solver.Sat && len(states) < 12 && g.rng.Intn(2) == 0 {
+					child, ref := st.fork(), refs[i]
+					ex.commit(child, m2, e2...)
+					for _, c := range e2 {
+						ref = refAdd(ref, c)
+					}
+					states, refs = append(states, child), append(refs, ref)
+				}
+				if r1 == solver.Sat && g.rng.Intn(2) == 0 {
+					ex.commit(st, m1, e1...)
+					for _, c := range e1 {
+						refs[i] = refAdd(refs[i], c)
+					}
+				}
+				if g.rng.Intn(2) == 0 {
+					ex.extendModel(st, g.tbl.NewVar("aux"), 7)
+				}
 			}
 			extras := g.extras()
 			for j := range states {
 				requireOracle(t, fmt.Sprintf("seed %d step %d (%s on state %d): state %d", seed, step, op, i, j), states[j], refs[j], g, extras)
 			}
 		}
+		reused += ex.Solver.Reused
+	}
+	if reused == 0 {
+		t.Error("no full query answered a component from its record")
 	}
 }
 
 // TestPathCondConcurrentForkCommit forks lineages off one shared ancestor
 // and commits into them from concurrent goroutines, as the epoch engine's
-// workers do. Every state must keep matching the reference partition, and
-// the ancestor must stay untouched. Run it under -race.
+// workers do, each lineage also issuing recording full queries through an
+// executor of its own. The ancestor's components carry records, which
+// every lineage reads and copies before recording into them. Every state
+// must keep matching the reference partition, every full query must
+// return the reference verdict and model, and the ancestor must stay
+// untouched. Run it under -race.
 func TestPathCondConcurrentForkCommit(t *testing.T) {
 	prog := bytecode.MustCompile("pc", `func main() int { return 0; }`)
-	g := newPCGen(42, 24)
+	g := newPCGen(42, 40)
 	root := &State{Status: StatusActive, Frames: []*Frame{{Fn: prog.Funcs[prog.MainIndex]}}}
 	var rootRef []solver.Constraint
 	for i := 0; i < 200; i++ {
+		// Single-variable constraints keep the ancestor's components
+		// many, and a satisfiable ancestor's components all carry records.
 		c := g.constraint()
+		if _, _, single := c.E.SingleVar(); !single {
+			continue
+		}
+		if res, _ := solver.New().Check(g.tbl, append(slices.Clip(rootRef), c)); res != solver.Sat {
+			continue
+		}
 		root.AddConstraint(c)
 		rootRef = refAdd(rootRef, c)
 	}
+	newEx := func() *Executor {
+		ex := New(prog, nil, DefaultOptions())
+		ex.Table = g.tbl
+		return ex
+	}
+	if n := root.pc().comps.len(); n <= 32 {
+		t.Fatalf("ancestor has %d components; more than 32 put slot masks past the first word", n)
+	}
+	if res, _ := requireFullQuery(t, "ancestor", newEx(), root, rootRef, nil); res != solver.Sat {
+		t.Fatalf("ancestor's path condition is %v", res)
+	}
+	// Writes after the query leave some shared components without a
+	// record: each lineage's first query records them in a copy.
+	for i := 0; i < len(g.pool); i += 5 {
+		c := solver.Ne(solver.VarExpr(g.pool[i]), solver.ConstExpr(11))
+		root.AddConstraint(c)
+		rootRef = refAdd(rootRef, c)
+	}
+	rootDigest := root.PCDigest()
 	const goroutines, steps = 4, 150
 	lineages := make([]*State, goroutines)
 	for w := range lineages {
@@ -277,7 +448,7 @@ func TestPathCondConcurrentForkCommit(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
 			cur, ref := lineages[w], rootRef
-			var q pcQuery
+			ex := newEx()
 			for i := 0; i < steps; i++ {
 				child := cur.fork()
 				childRef := ref
@@ -293,9 +464,10 @@ func TestPathCondConcurrentForkCommit(t *testing.T) {
 					st  *State
 					ref []solver.Constraint
 				}{{cur, ref}, {child, childRef}} {
-					extra := solver.Ge(solver.VarExpr(v), solver.ConstExpr(int64(rng.Intn(5))))
-					want := solvertest.Components(append(slices.Clip(s.ref), extra))
-					got := s.st.pc().components(&q, []solver.Constraint{extra})
+					extras := []solver.Constraint{solver.Ge(solver.VarExpr(v), solver.ConstExpr(int64(rng.Intn(5))))}
+					query := append(slices.Clip(s.ref), extras...)
+					want := solvertest.Components(query)
+					got := partition(s.st, extras)
 					if len(got) != len(want) || s.st.PCDigest() != solver.DigestOf(s.ref) {
 						t.Errorf("goroutine %d step %d: %d components, want %d", w, i, len(got), len(want))
 						return
@@ -306,17 +478,27 @@ func TestPathCondConcurrentForkCommit(t *testing.T) {
 							return
 						}
 					}
+					res, m := ex.fullQuery(s.st, extras)
+					wantRes, wantM := solver.NewCached(solver.New()).CheckComponents(context.Background(), g.tbl, want)
+					if res != wantRes || !maps.Equal(m, wantM) {
+						t.Errorf("goroutine %d step %d: full query %v %v, want %v %v", w, i, res, m, wantRes, wantM)
+						return
+					}
 				}
 				if rng.Intn(2) == 0 {
 					cur, ref = child, childRef
 				}
 			}
+			if ex.Solver.Reused == 0 {
+				t.Errorf("goroutine %d: no full query answered a component from its record", w)
+			}
 		}(w)
 	}
 	wg.Wait()
-	if got := root.Constraints(); !slices.EqualFunc(got, rootRef, sameConstraint) || root.PCDigest() != solver.DigestOf(rootRef) {
+	if got := root.Constraints(); !slices.EqualFunc(got, rootRef, sameConstraint) || root.PCDigest() != rootDigest {
 		t.Fatal("shared ancestor's path condition changed under concurrent forks")
 	}
+	requireRecords(t, "ancestor", root, g)
 }
 
 // TestAddConstraintKeepsVarIndex pins AddConstraint to the commit path:

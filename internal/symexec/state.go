@@ -2,6 +2,7 @@ package symexec
 
 import (
 	"reflect"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/bytecode"
@@ -96,6 +97,12 @@ type State struct {
 	// The map is shared across forks and never mutated in place.
 	LastModel solver.Model
 
+	// qm is the model of the last satisfiable full query in the state's
+	// lineage, which the next full query starts from (see fullQuery), and
+	// qmPrev the query model it replaced, until the state commits a model
+	// (settleQuery). Both are shared across forks and never mutated.
+	qm, qmPrev *queryModel
+
 	// heldModel and held record what the model shortcut has verified: the
 	// first held constraints of the path condition hold under heldModel.
 	// While heldModel is LastModel, the shortcut evaluates only the rest.
@@ -147,6 +154,44 @@ func (st *State) pop() Value {
 	v := fr.Stack[len(fr.Stack)-1]
 	fr.Stack = fr.Stack[:len(fr.Stack)-1]
 	return v
+}
+
+// queryModel is a full query's model m with what the next full query
+// must repair in it: the slots whose bindings in m may not be their
+// components' records (restore: the components the query's groups
+// joined), and the variables it binds that no component of the path
+// condition holds (fresh: the extras' variables the path condition did
+// not mention, and any the state's model gained since). Every other
+// binding of m is a recorded component's model, or belongs to a
+// component without a record, which the next query looks up. recorded
+// lists the slots the query recorded, for settleQuery.
+type queryModel struct {
+	m        solver.Model
+	restore  []int32
+	fresh    []solver.Var
+	recorded []int32
+}
+
+// binds reports whether the query model binds v.
+func (qm *queryModel) binds(v solver.Var) bool {
+	_, ok := qm.m[v]
+	return ok
+}
+
+// settleQuery leaves the state one query model after a commit. A state
+// that commits the model its previous query model holds, as the side of
+// a fork that keeps its model does, starts from that one again, with the
+// slots the latest query recorded to restore too; so a state does not
+// keep its fork sibling's model as its query model.
+func (st *State) settleQuery() {
+	prev := st.qmPrev
+	if prev == nil {
+		return
+	}
+	st.qmPrev = nil
+	if sameModel(prev.m, st.LastModel) && !sameModel(st.qm.m, st.LastModel) {
+		st.qm = &queryModel{m: prev.m, restore: append(slices.Clip(prev.restore), st.qm.recorded...), fresh: prev.fresh}
+	}
 }
 
 // pathStore is a state's path condition, a conjunction kept with its
@@ -226,6 +271,8 @@ func (st *State) pcHolds(m solver.Model) bool {
 // extendedModel installs nm, the cached model plus bindings for vars, as
 // the state's model. The verified prefix carries over to nm up to the
 // first constraint mentioning one of vars: nothing before it reads them.
+// A query model that is the cached model moves to nm, with vars to drop
+// at the next full query, so the state keeps one model, not two.
 func (st *State) extendedModel(nm solver.Model, vars ...solver.Var) {
 	if sameModel(st.heldModel, st.LastModel) {
 		for _, v := range vars {
@@ -234,6 +281,9 @@ func (st *State) extendedModel(nm solver.Model, vars ...solver.Var) {
 			}
 		}
 		st.heldModel = nm
+	}
+	if qm := st.qm; qm != nil && sameModel(qm.m, st.LastModel) && !slices.ContainsFunc(vars, qm.binds) {
+		st.qm = &queryModel{m: nm, restore: qm.restore, fresh: append(slices.Clip(qm.fresh), vars...), recorded: qm.recorded}
 	}
 	st.LastModel = nm
 }
@@ -256,6 +306,8 @@ func (st *State) fork() *State {
 		Diverted:  st.Diverted,
 		Revived:   st.Revived,
 		LastModel: st.LastModel,
+		qm:        st.qm,
+		qmPrev:    st.qmPrev,
 		heldModel: st.heldModel,
 		held:      st.held,
 		path:      st.path,

@@ -21,10 +21,10 @@ type StateUnit struct {
 	Blob      []byte
 }
 
-// stateUnitVersion versions the state-unit and result payloads. Version 2
-// replies with the whole Result; version 1 replied with seven of its
-// counters.
-const stateUnitVersion = 2
+// stateUnitVersion versions the state-unit and result payloads. Version 3
+// adds CompReused; version 2 replies with the whole Result; version 1
+// replied with seven of its counters.
+const stateUnitVersion = 3
 
 // EncodeStateUnit serializes u for the wire.
 func EncodeStateUnit(u *StateUnit) []byte {
@@ -107,6 +107,7 @@ func MergeShards(base *Result, shards []*Result) {
 		base.SolverSat += r.SolverSat
 		base.SolverUnsat += r.SolverUnsat
 		base.CacheHits += r.CacheHits
+		base.CompReused += r.CompReused
 		base.CacheMisses += r.CacheMisses
 		base.CacheEvictions += r.CacheEvictions
 		base.SolverTime += r.SolverTime
@@ -138,7 +139,7 @@ func EncodeResult(res *Result) []byte {
 		res.Paths, res.StatesCreated, res.MaxLive, res.Forks,
 		res.SummaryCalls, res.SummaryPaths, res.HavocCalls, res.DepthExhausted,
 		res.SolverChecks, res.SolverUnknowns, res.SolverSat, res.SolverUnsat,
-		res.CacheHits, res.CacheMisses, res.CacheEvictions,
+		res.CacheHits, res.CacheMisses, res.CacheEvictions, res.CompReused,
 		res.SuspendedAtEnd, res.Revivals,
 	} {
 		w.Int(n)
@@ -171,7 +172,7 @@ func DecodeResult(b []byte) (*Result, error) {
 		&res.Paths, &res.StatesCreated, &res.MaxLive, &res.Forks,
 		&res.SummaryCalls, &res.SummaryPaths, &res.HavocCalls, &res.DepthExhausted,
 		&res.SolverChecks, &res.SolverUnknowns, &res.SolverSat, &res.SolverUnsat,
-		&res.CacheHits, &res.CacheMisses, &res.CacheEvictions,
+		&res.CacheHits, &res.CacheMisses, &res.CacheEvictions, &res.CompReused,
 		&res.SuspendedAtEnd, &res.Revivals,
 	} {
 		if *p, err = r.Int(); err != nil {
