@@ -235,12 +235,17 @@ type frame struct {
 	stack  []Value
 }
 
+// vm is one run's machine state. frames[:depth] is the call stack; the
+// frames past it belong to returned calls and are reused, operand stack
+// included, by the next call at their depth. Locals are never reused:
+// a hook may keep an entry event's Params.
 type vm struct {
 	prog    *bytecode.Program
 	input   *Input
 	cfg     Config
 	globals []Value
 	frames  []*frame
+	depth   int
 	steps   int
 	out     []string
 }
@@ -297,8 +302,8 @@ func (m *vm) callAndRun(fn *bytecode.Fn, args []Value, hook bool, res *Result) e
 	if hook {
 		m.fireHook(trace.EventEnter, fr, nil)
 	}
-	base := len(m.frames) - 1
-	for len(m.frames) > base {
+	base := m.depth - 1
+	for m.depth > base {
 		if err := m.step(res); err != nil {
 			return err
 		}
@@ -306,10 +311,17 @@ func (m *vm) callAndRun(fn *bytecode.Fn, args []Value, hook bool, res *Result) e
 	return nil
 }
 
+// pushFrame enters fn with args copied into its locals. args may alias
+// the caller's operand stack.
 func (m *vm) pushFrame(fn *bytecode.Fn, args []Value) *frame {
-	fr := &frame{fn: fn, locals: make([]Value, fn.NumLocals)}
+	if m.depth == len(m.frames) {
+		m.frames = append(m.frames, &frame{})
+	}
+	fr := m.frames[m.depth]
+	m.depth++
+	fr.fn, fr.pc, fr.stack = fn, 0, fr.stack[:0]
+	fr.locals = make([]Value, fn.NumLocals)
 	copy(fr.locals, args)
-	m.frames = append(m.frames, fr)
 	return fr
 }
 
@@ -324,7 +336,7 @@ func (m *vm) fireHook(kind trace.EventKind, fr *frame, ret *Value) {
 	m.cfg.Hook(ev)
 }
 
-func (m *vm) top() *frame { return m.frames[len(m.frames)-1] }
+func (m *vm) top() *frame { return m.frames[m.depth-1] }
 
 func (fr *frame) push(v Value) { fr.stack = append(fr.stack, v) }
 
@@ -332,6 +344,15 @@ func (fr *frame) pop() Value {
 	v := fr.stack[len(fr.stack)-1]
 	fr.stack = fr.stack[:len(fr.stack)-1]
 	return v
+}
+
+// popN pops the top n operands and returns them in push order. They stay
+// readable until the next push, which overwrites the first of them.
+func (fr *frame) popN(n int) []Value {
+	base := len(fr.stack) - n
+	args := fr.stack[base:]
+	fr.stack = fr.stack[:base]
+	return args
 }
 
 func (m *vm) fault(kind FaultKind, pos minic.Pos) error {
@@ -345,7 +366,7 @@ func (m *vm) step(res *Result) error {
 		return ErrStepLimit
 	}
 	fr := m.top()
-	in := fr.fn.Code[fr.pc]
+	in := &fr.fn.Code[fr.pc]
 	fr.pc++
 	switch in.Op {
 	case bytecode.OpNop:
@@ -392,15 +413,10 @@ func (m *vm) step(res *Result) error {
 			fr.pc = in.A
 		}
 	case bytecode.OpCall:
-		if len(m.frames) >= m.cfg.MaxDepth {
+		if m.depth >= m.cfg.MaxDepth {
 			return ErrStackDepth
 		}
-		callee := m.prog.Funcs[in.A]
-		args := make([]Value, in.B)
-		for i := in.B - 1; i >= 0; i-- {
-			args[i] = fr.pop()
-		}
-		nfr := m.pushFrame(callee, args)
+		nfr := m.pushFrame(m.prog.Funcs[in.A], fr.popN(in.B))
 		m.fireHook(trace.EventEnter, nfr, nil)
 	case bytecode.OpBuiltin:
 		if err := m.builtin(minic.Builtin(in.A), in.B, in.Pos, res); err != nil {
@@ -408,19 +424,26 @@ func (m *vm) step(res *Result) error {
 		}
 	case bytecode.OpReturn:
 		var ret Value
-		var retPtr *Value
 		if in.A == 1 {
 			ret = fr.pop()
-			retPtr = &ret
 		}
-		m.fireHook(trace.EventLeave, fr, retPtr)
-		m.frames = m.frames[:len(m.frames)-1]
-		if len(m.frames) == 0 {
+		if m.cfg.Hook != nil {
+			// Each exit event gets its own copy of the return value (a
+			// hook may keep Ret); without a hook ret stays off the heap.
+			var retPtr *Value
+			if in.A == 1 {
+				r := ret
+				retPtr = &r
+			}
+			m.fireHook(trace.EventLeave, fr, retPtr)
+		}
+		m.depth--
+		if m.depth == 0 {
 			// Base frame ($init or main) finished; callAndRun's loop exits.
 			res.Ret = ret
 			return nil
 		}
-		if retPtr != nil {
+		if in.A == 1 {
 			m.top().push(ret)
 		}
 	case bytecode.OpPop:
@@ -487,12 +510,11 @@ func (m *vm) binOp(op minic.BinOp, l, r Value, pos minic.Pos) (Value, error) {
 	}
 }
 
+// builtin pops its operands in place: every case reads all of args
+// before its one push.
 func (m *vm) builtin(b minic.Builtin, nargs int, pos minic.Pos, res *Result) error {
 	fr := m.top()
-	args := make([]Value, nargs)
-	for i := nargs - 1; i >= 0; i-- {
-		args[i] = fr.pop()
-	}
+	args := fr.popN(nargs)
 	switch b {
 	case minic.BuiltinLen:
 		fr.push(IntVal(int64(len(args[0].Str))))

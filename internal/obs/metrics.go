@@ -106,9 +106,11 @@ const (
 	MetricCandidateFound      = "candidate.found"
 	MetricCandidateInfeasible = "candidate.infeasible"
 
-	// Corpus collection (internal/monitor).
-	MetricMonitorRuns    = "monitor.runs"
-	MetricMonitorRecords = "monitor.records"
+	// Corpus collection (internal/monitor): runs kept, their records, and
+	// runs executed (kept, discarded past a filled quota, or speculative).
+	MetricMonitorRuns         = "monitor.runs"
+	MetricMonitorRecords      = "monitor.records"
+	MetricMonitorRunsExecuted = "monitor.runs.executed"
 
 	// Analysis-as-a-service daemon (internal/service). Queue depth is a
 	// gauge sampled on every admission and dispatch; the job counters
