@@ -198,18 +198,19 @@ func BuildFromGraph(g *Graph, analysis *stats.Analysis, cfg Config) (*Result, er
 	if len(g.Nodes) == 0 {
 		return nil, fmt.Errorf("pathid: no faulty-run locations in corpus")
 	}
-	skeleton := findSkeleton(g, analysis, cfg)
+	scores := indexScores(analysis)
+	skeleton := findSkeleton(g, scores, cfg)
 	if len(skeleton) == 0 {
 		return nil, fmt.Errorf("pathid: no entry-to-failure path in transition graph")
 	}
-	detours := findDetours(g, analysis, skeleton, cfg)
-	candidates := joinCandidates(skeleton, detours, analysis, cfg)
+	detours := findDetours(g, analysis, scores, skeleton, cfg)
+	candidates := joinCandidates(skeleton, detours, analysis, scores, cfg)
 	return &Result{Graph: g, Skeleton: skeleton, Detours: detours, Candidates: candidates}, nil
 }
 
 // findSkeleton enumerates acyclic entry→failure paths and returns the one
 // with the largest average node score (step 1 of §V-B).
-func findSkeleton(g *Graph, analysis *stats.Analysis, cfg Config) []trace.Location {
+func findSkeleton(g *Graph, scores scoreIndex, cfg Config) []trace.Location {
 	entries := g.Entries
 	if len(entries) == 0 {
 		// Cyclic graph with no pure entry: fall back to the most common
@@ -244,7 +245,7 @@ func findSkeleton(g *Graph, analysis *stats.Analysis, cfg Config) []trace.Locati
 		}()
 		if cur == g.Failure {
 			budget--
-			score := avgScore(path, analysis)
+			score := scores.avg(path)
 			if score > bestScore || (score == bestScore && better(path, best)) {
 				bestScore = score
 				best = append([]trace.Location(nil), path...)
@@ -267,13 +268,30 @@ func findSkeleton(g *Graph, analysis *stats.Analysis, cfg Config) []trace.Locati
 	return best
 }
 
-func avgScore(path []trace.Location, analysis *stats.Analysis) float64 {
+// scoreIndex maps each location that hosts a predicate to the score of
+// its best one: Analysis.LocationScore, answered by one lookup instead of
+// a scan of the ranked predicates.
+type scoreIndex map[trace.Location]float64
+
+// indexScores builds the score index of an analysis.
+func indexScores(analysis *stats.Analysis) scoreIndex {
+	scores := make(scoreIndex)
+	for _, p := range analysis.Predicates { // ranked, so the first at a location is its best
+		if _, ok := scores[p.Loc]; !ok {
+			scores[p.Loc] = p.Score
+		}
+	}
+	return scores
+}
+
+// avg returns the average node score of path, summed in path order.
+func (scores scoreIndex) avg(path []trace.Location) float64 {
 	if len(path) == 0 {
 		return 0
 	}
 	total := 0.0
 	for _, loc := range path {
-		total += analysis.LocationScore(loc)
+		total += scores[loc]
 	}
 	return total / float64(len(path))
 }
@@ -300,7 +318,7 @@ func better(a, b []trace.Location) bool {
 // of §V-B), classifying them by start/end indices. When a location hosts
 // multiple same-type detours, the highest average-score one is kept
 // (§VI-B).
-func findDetours(g *Graph, analysis *stats.Analysis, skeleton []trace.Location, cfg Config) []Detour {
+func findDetours(g *Graph, analysis *stats.Analysis, scores scoreIndex, skeleton []trace.Location, cfg Config) []Detour {
 	onSkel := make(map[trace.Location]int, len(skeleton))
 	for i, loc := range skeleton {
 		onSkel[loc] = i
@@ -350,7 +368,7 @@ func findDetours(g *Graph, analysis *stats.Analysis, skeleton []trace.Location, 
 			d.ToIdx = fromIdx
 			d.Type = DetourSpur
 		}
-		d.Score = avgScore(d.Via, analysis)
+		d.Score = scores.avg(d.Via)
 		key := fmt.Sprintf("%d/%d/%d", d.FromIdx, d.ToIdx, d.Type)
 		if prev, ok := best[key]; !ok || d.Score > prev.Score {
 			best[key] = d
@@ -461,7 +479,7 @@ func reverseAdj(g *Graph) map[trace.Location][]trace.Location {
 // joinCandidates assembles ranked candidates (step 3 of §V-B): the
 // skeleton with all detours, the skeleton with each single detour (by
 // descending score), and the bare skeleton, deduplicated and capped.
-func joinCandidates(skeleton []trace.Location, detours []Detour, analysis *stats.Analysis, cfg Config) []*CandidatePath {
+func joinCandidates(skeleton []trace.Location, detours []Detour, analysis *stats.Analysis, scores scoreIndex, cfg Config) []*CandidatePath {
 	var out []*CandidatePath
 	seen := make(map[string]bool)
 	add := func(locs []trace.Location, nDetours int) {
@@ -469,7 +487,7 @@ func joinCandidates(skeleton []trace.Location, detours []Detour, analysis *stats
 		for _, loc := range locs {
 			cp.Nodes = append(cp.Nodes, PathNode{Loc: loc, Pred: analysis.BestAt(loc)})
 		}
-		cp.AvgScore = avgScore(locs, analysis)
+		cp.AvgScore = scores.avg(locs)
 		key := cp.String()
 		if seen[key] {
 			return

@@ -98,7 +98,7 @@ type CachedSolver struct {
 // the function that issued the query (0 when unknown), the constraint
 // multiset, and the verdict with its model (nil unless Sat).
 // Implementations must not block and must copy what they keep.
-type SpillFunc func(d Digest, bsig, origin uint64, cons []Constraint, res Result, model Model)
+type SpillFunc func(d Digest, bsig, origin uint64, cons []Constraint, res Result, model *Model)
 
 // NewCached wraps s with a query cache.
 func NewCached(s *Solver) *CachedSolver {
@@ -133,7 +133,7 @@ func (st *Stats) note(res Result) {
 }
 
 // Check is Solver.Check with memoization.
-func (cs *CachedSolver) Check(t *VarTable, cons []Constraint) (Result, Model) {
+func (cs *CachedSolver) Check(t *VarTable, cons []Constraint) (Result, *Model) {
 	return cs.CheckCtx(context.Background(), t, cons)
 }
 
@@ -141,13 +141,13 @@ func (cs *CachedSolver) Check(t *VarTable, cons []Constraint) (Result, Model) {
 // cancelled are not cached: such queries resolve to Unknown as an artifact
 // of cancellation, and memoizing them would poison later retries of the
 // same conjunction.
-func (cs *CachedSolver) CheckCtx(ctx context.Context, t *VarTable, cons []Constraint) (Result, Model) {
+func (cs *CachedSolver) CheckCtx(ctx context.Context, t *VarTable, cons []Constraint) (Result, *Model) {
 	return cs.checkDigest(ctx, t, cons, DigestOf(cons))
 }
 
 // checkDigest is the cache pipeline: local LRU, then the shared cache,
 // then the solver. d is the digest of cons.
-func (cs *CachedSolver) checkDigest(ctx context.Context, t *VarTable, cons []Constraint, d Digest) (Result, Model) {
+func (cs *CachedSolver) checkDigest(ctx context.Context, t *VarTable, cons []Constraint, d Digest) (Result, *Model) {
 	if cs.Disabled {
 		start := time.Now()
 		res, model := cs.S.CheckCtx(ctx, t, cons)
@@ -172,7 +172,7 @@ func (cs *CachedSolver) checkDigest(ctx context.Context, t *VarTable, cons []Con
 		bsig = boundsSig(t, cons)
 	}
 	var res Result
-	var model Model
+	var model *Model
 	served := false
 	if cs.Shared != nil {
 		if r, m, ok := cs.Shared.lookup(d, bsig, cons); ok {
@@ -202,7 +202,7 @@ func (cs *CachedSolver) checkDigest(ctx context.Context, t *VarTable, cons []Con
 }
 
 // store inserts the verdict into the exact-match LRU, counting evictions.
-func (cs *CachedSolver) store(d Digest, bsig uint64, cons []Constraint, res Result, model Model) {
+func (cs *CachedSolver) store(d Digest, bsig uint64, cons []Constraint, res Result, model *Model) {
 	max := cs.MaxEntries
 	if max <= 0 {
 		max = DefaultCacheEntries
@@ -211,7 +211,7 @@ func (cs *CachedSolver) store(d Digest, bsig uint64, cons []Constraint, res Resu
 }
 
 // spill offers a freshly decided verdict to the persistence hook, if any.
-func (cs *CachedSolver) spill(d Digest, bsig uint64, cons []Constraint, res Result, model Model) {
+func (cs *CachedSolver) spill(d Digest, bsig uint64, cons []Constraint, res Result, model *Model) {
 	if cs.Spill != nil {
 		cs.Spill(d, bsig, cs.Origin, cons, res, model)
 	}
@@ -229,13 +229,13 @@ type CacheEntry struct {
 	Origin uint64
 	Cons   []Constraint
 	Res    Result
-	Model  Model
+	Model  *Model
 }
 
 // ExportCache returns the exact-match cache's entries, least recently used
 // first, so importing them in that order reproduces the recency order.
-// The Cons and Model values alias cache-internal storage; callers must not
-// mutate them.
+// The Cons values alias cache-internal storage; callers must not mutate
+// them. Models never change, so sharing them is safe.
 func (cs *CachedSolver) ExportCache() []CacheEntry {
 	if cs.lru.ll == nil {
 		return nil
@@ -285,7 +285,7 @@ type cacheEntry struct {
 	origin    uint64
 	cons      []Constraint
 	res       Result
-	model     Model
+	model     *Model
 	persisted bool
 }
 
@@ -309,7 +309,7 @@ func (c *lruCache) init() {
 // wrong answer. This is the single-table path: all entries and queries
 // come from one VarTable, so a conjunction match implies matching
 // intrinsic bounds.
-func (c *lruCache) lookup(d Digest, cons []Constraint) (Result, Model, bool) {
+func (c *lruCache) lookup(d Digest, cons []Constraint) (Result, *Model, bool) {
 	if c.ll == nil {
 		return Unknown, nil, false
 	}
@@ -348,7 +348,7 @@ func (c *lruCache) lookupBsig(d Digest, bsig uint64, cons []Constraint) *cacheEn
 
 // add inserts (or refreshes) an entry and returns the number of evictions
 // performed to respect max.
-func (c *lruCache) add(d Digest, bsig, origin uint64, cons []Constraint, res Result, model Model, max int) int {
+func (c *lruCache) add(d Digest, bsig, origin uint64, cons []Constraint, res Result, model *Model, max int) int {
 	c.init()
 	if el, ok := c.idx[d]; ok {
 		// Digest already present: keep the newest conjunction for this

@@ -81,7 +81,7 @@ func TestCacheBoundsSignature(t *testing.T) {
 	}
 	var lru lruCache
 	d := DigestOf(cons)
-	lru.add(d, sigWide, 0, cons, Sat, Model{x1: 300}, 8)
+	lru.add(d, sigWide, 0, cons, Sat, ModelOf(map[Var]int64{x1: 300}), 8)
 	// Under the byte-bounded table the same structural query is Unsat; a
 	// bounds-blind cache would replay the Sat verdict.
 	if e := lru.lookupBsig(d, sigNarrow, cons); e != nil {

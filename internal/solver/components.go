@@ -13,7 +13,7 @@ type Component struct {
 	Before int
 	// Model is the component's model once LookupComponents has looked it
 	// up and found it satisfiable.
-	Model Model
+	Model *Model
 }
 
 // LookupComponents decides a conjunction given as its independent
@@ -64,10 +64,10 @@ func (cs *CachedSolver) LookupComponents(ctx context.Context, t *VarTable, comps
 
 // CheckComponents decides a conjunction given as all of its independent
 // components, looking each one up (see LookupComponents), and returns a
-// model that is the union of the component models. A lone component's
-// model is returned unmerged, and an empty conjunction is looked up like
-// any other.
-func (cs *CachedSolver) CheckComponents(ctx context.Context, t *VarTable, comps []Component) (Result, Model) {
+// model that is the union of the component models: the first component's
+// model with the others' bindings added. A lone component's model is
+// returned as it is, and an empty conjunction is looked up like any other.
+func (cs *CachedSolver) CheckComponents(ctx context.Context, t *VarTable, comps []Component) (Result, *Model) {
 	if len(comps) == 0 {
 		return cs.checkDigest(ctx, t, nil, Digest{})
 	}
@@ -77,11 +77,9 @@ func (cs *CachedSolver) CheckComponents(ctx context.Context, t *VarTable, comps 
 	if len(comps) == 1 {
 		return Sat, comps[0].Model
 	}
-	merged := make(Model, len(comps)) // about one binding per component
-	for _, c := range comps {
-		for k, v := range c.Model {
-			merged[k] = v
-		}
+	merged := comps[0].Model.Edit()
+	for _, c := range comps[1:] {
+		merged.Merge(c.Model)
 	}
-	return Sat, merged
+	return Sat, merged.Model()
 }

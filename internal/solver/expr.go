@@ -120,10 +120,10 @@ func (e LinExpr) AddConst(k int64) LinExpr {
 }
 
 // Eval evaluates the expression under a model; missing variables read 0.
-func (e LinExpr) Eval(m Model) int64 {
+func (e LinExpr) Eval(m *Model) int64 {
 	v := e.Const
 	for _, t := range e.Terms {
-		v += t.Coeff * m[t.Var]
+		v += t.Coeff * m.Value(t.Var)
 	}
 	return v
 }
@@ -218,7 +218,7 @@ func (c Constraint) Negate() Constraint {
 }
 
 // Holds evaluates the constraint under a model.
-func (c Constraint) Holds(m Model) bool {
+func (c Constraint) Holds(m *Model) bool {
 	v := c.E.Eval(m)
 	switch c.Op {
 	case OpLe:
@@ -292,9 +292,6 @@ func (c Constraint) String(t *VarTable) string {
 	}
 	return c.E.String(t) + " " + op
 }
-
-// Model is a satisfying assignment.
-type Model map[Var]int64
 
 // Result is the outcome of a satisfiability check.
 type Result int

@@ -14,7 +14,7 @@ import (
 
 // checkPartitioned decides cons through CheckComponents on the reference
 // partition.
-func checkPartitioned(cs *solver.CachedSolver, tbl *solver.VarTable, cons []solver.Constraint) (solver.Result, solver.Model) {
+func checkPartitioned(cs *solver.CachedSolver, tbl *solver.VarTable, cons []solver.Constraint) (solver.Result, *solver.Model) {
 	return cs.CheckComponents(context.Background(), tbl, solvertest.Components(cons))
 }
 
@@ -237,7 +237,7 @@ func TestCheckPartitionedComponentCaching(t *testing.T) {
 	if res != solver.Sat {
 		t.Fatal(res)
 	}
-	if m[x] < 3 || m[x] > 9 || m[y] < 1 {
+	if m.Value(x) < 3 || m.Value(x) > 9 || m.Value(y) < 1 {
 		t.Errorf("merged model = %v", m)
 	}
 	if cs.Hits == 0 {

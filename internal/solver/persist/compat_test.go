@@ -30,7 +30,7 @@ func fixtureEntry(i int) solver.CacheEntry {
 		{E: solver.LinExpr{Terms: []solver.Term{{Coeff: 1, Var: b}}, Const: -3}, Op: solver.OpNe},
 	}
 	return solver.CacheEntry{Digest: solver.DigestOf(cons), BSig: bsig, Origin: origin, Cons: cons, Res: solver.Sat,
-		Model: solver.Model{a: int64(i % 17), b: 30}}
+		Model: solver.ModelOf(map[solver.Var]int64{a: int64(i % 17), b: 30})}
 }
 
 const fixtureEntries = 120

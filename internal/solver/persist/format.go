@@ -61,16 +61,12 @@ func appendEntry(dst []byte, e *solver.CacheEntry) []byte {
 		}
 	}
 	if e.Model != nil {
-		vars := make([]solver.Var, 0, len(e.Model))
-		for v := range e.Model {
-			vars = append(vars, v)
-		}
-		sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
-		dst = binary.AppendUvarint(dst, uint64(len(vars)))
-		for _, v := range vars {
+		dst = binary.AppendUvarint(dst, uint64(e.Model.Len()))
+		e.Model.Range(func(v solver.Var, x int64) bool {
 			dst = binary.AppendUvarint(dst, uint64(uint32(v)))
-			dst = binary.AppendVarint(dst, e.Model[v])
-		}
+			dst = binary.AppendVarint(dst, x)
+			return true
+		})
 	}
 	return dst
 }
@@ -158,7 +154,7 @@ func decodeEntry(r *corpus.ByteReader) (solver.CacheEntry, error) {
 		if nvals > uint64(r.Len()/2+1) {
 			return e, fmt.Errorf("model size %d exceeds remaining %d bytes", nvals, r.Len())
 		}
-		e.Model = make(solver.Model, nvals)
+		var m solver.ModelBuilder
 		for i := uint64(0); i < nvals; i++ {
 			v, err := r.Uvarint()
 			if err != nil {
@@ -168,8 +164,9 @@ func decodeEntry(r *corpus.ByteReader) (solver.CacheEntry, error) {
 			if err != nil {
 				return e, err
 			}
-			e.Model[solver.Var(int32(uint32(v)))] = val
+			m.Set(solver.Var(int32(uint32(v))), val)
 		}
+		e.Model = m.Model()
 	}
 	return e, nil
 }
@@ -258,7 +255,7 @@ func (c *entryCodec) Reset() {
 func (c *entryCodec) Add(e solver.CacheEntry) int {
 	c.pending = append(c.pending, e)
 	// Cheap size estimate: fixed header + per-constraint + per-term costs.
-	c.pendSize += 40 + len(e.Cons)*16 + len(e.Model)*12
+	c.pendSize += 40 + len(e.Cons)*16 + e.Model.Len()*12
 	for _, con := range e.Cons {
 		c.pendSize += len(con.E.Terms) * 12
 	}

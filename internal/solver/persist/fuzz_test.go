@@ -25,7 +25,7 @@ func FuzzCacheEntryRoundTrip(f *testing.F) {
 				{E: solver.LinExpr{Terms: []solver.Term{{Coeff: -1 << 40, Var: -3}, {Coeff: 5, Var: 1 << 20}}, Const: 1 << 50}, Op: solver.OpNe},
 				{E: solver.LinExpr{Const: -9}, Op: solver.OpLe},
 			},
-			Model: solver.Model{-3: -1 << 60, 1 << 20: 0}},
+			Model: solver.ModelOf(map[solver.Var]int64{-3: -1 << 60, 1 << 20: 0})},
 	}
 	for i := range seeds {
 		f.Add(appendEntry(nil, &seeds[i]))

@@ -24,7 +24,7 @@ func testEntry(i int) solver.CacheEntry {
 		Origin: uint64(100 + i%3),
 		Cons:   cons,
 		Res:    solver.Sat,
-		Model:  solver.Model{solver.Var(i): int64(i)},
+		Model:  solver.ModelOf(map[solver.Var]int64{solver.Var(i): int64(i)}),
 	}
 }
 
@@ -75,7 +75,7 @@ func TestRoundtrip(t *testing.T) {
 			t.Fatalf("entry %d missing after load", i)
 		}
 		if got.BSig != want.BSig || got.Origin != want.Origin || got.Res != want.Res ||
-			len(got.Cons) != len(want.Cons) || got.Model[solver.Var(i)] != int64(i) {
+			len(got.Cons) != len(want.Cons) || got.Model.Value(solver.Var(i)) != int64(i) {
 			t.Fatalf("entry %d mismatch: got %+v want %+v", i, got, want)
 		}
 	}
@@ -211,7 +211,7 @@ func TestPoisonedEntriesRejectedOnLoad(t *testing.T) {
 	}
 	// Poison 1: a Sat verdict whose model does not satisfy its conjunction.
 	badModel := testEntry(2)
-	badModel.Model = solver.Model{solver.Var(2): 99}
+	badModel.Model = solver.ModelOf(map[solver.Var]int64{solver.Var(2): 99})
 	if err := w.Append(badModel); err != nil {
 		t.Fatal(err)
 	}

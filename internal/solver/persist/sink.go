@@ -82,9 +82,9 @@ func (k *Sink) MarkSeen(d solver.Digest) {
 
 // Offer is the solver.SpillFunc: it enqueues one verdict for asynchronous
 // persistence. Unknown verdicts (budget artifacts) are not persistable.
-// The constraint slice and model are copied here — the caller keeps
-// mutating its own buffers.
-func (k *Sink) Offer(d solver.Digest, bsig, origin uint64, cons []solver.Constraint, res solver.Result, model solver.Model) {
+// The constraint slice is copied here, since the caller keeps mutating
+// its own buffers; the model never changes, so it is kept as it is.
+func (k *Sink) Offer(d solver.Digest, bsig, origin uint64, cons []solver.Constraint, res solver.Result, model *solver.Model) {
 	if res != solver.Sat && res != solver.Unsat {
 		return
 	}
@@ -101,13 +101,7 @@ func (k *Sink) Offer(d solver.Digest, bsig, origin uint64, cons []solver.Constra
 	k.mu.Unlock()
 
 	e := solver.CacheEntry{Digest: d, BSig: bsig, Origin: origin, Res: res,
-		Cons: append([]solver.Constraint(nil), cons...)}
-	if model != nil {
-		e.Model = make(solver.Model, len(model))
-		for v, val := range model {
-			e.Model[v] = val
-		}
-	}
+		Cons: append([]solver.Constraint(nil), cons...), Model: model}
 	select {
 	case k.ch <- e:
 	default:

@@ -63,12 +63,12 @@ func (sc *SharedCache) shard(d Digest) *sharedShard {
 }
 
 // lookup returns the stored verdict for an exact, verified match.
-func (sc *SharedCache) lookup(d Digest, bsig uint64, cons []Constraint) (Result, Model, bool) {
+func (sc *SharedCache) lookup(d Digest, bsig uint64, cons []Constraint) (Result, *Model, bool) {
 	sh := sc.shard(d)
 	sh.mu.Lock()
 	e := sh.lru.lookupBsig(d, bsig, cons)
 	var res Result = Unknown
-	var m Model
+	var m *Model
 	persisted := false
 	if e != nil {
 		res, m, persisted = e.res, e.model, e.persisted
@@ -86,10 +86,10 @@ func (sc *SharedCache) lookup(d Digest, bsig uint64, cons []Constraint) (Result,
 }
 
 // store publishes a solved verdict. The conjunction is copied by the LRU,
-// so callers may keep mutating their slice. Models are stored as-is: the
-// executor never mutates a model in place (extendModel copies), so sharing
-// the map across goroutines is read-only and safe.
-func (sc *SharedCache) store(d Digest, bsig, origin uint64, cons []Constraint, res Result, model Model) {
+// so callers may keep mutating their slice. Models are stored as they
+// are: a model never changes once built, so sharing it across goroutines
+// is read-only and safe.
+func (sc *SharedCache) store(d Digest, bsig, origin uint64, cons []Constraint, res Result, model *Model) {
 	sh := sc.shard(d)
 	sh.mu.Lock()
 	ev := sh.lru.add(d, bsig, origin, cons, res, model, sc.perShard)
@@ -107,7 +107,7 @@ func (sc *SharedCache) store(d Digest, bsig, origin uint64, cons []Constraint, r
 // warm-start hits are counted apart (PersistHits) and so the spill hook
 // does not re-offer what is already on disk. Callers must have verified
 // the entry (digest recomputation + model check) before seeding.
-func (sc *SharedCache) Seed(d Digest, bsig, origin uint64, cons []Constraint, res Result, model Model) {
+func (sc *SharedCache) Seed(d Digest, bsig, origin uint64, cons []Constraint, res Result, model *Model) {
 	sh := sc.shard(d)
 	sh.mu.Lock()
 	sh.lru.add(d, bsig, origin, cons, res, model, sc.perShard)

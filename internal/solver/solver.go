@@ -70,7 +70,7 @@ func (s *Solver) maxFM() int {
 // Check decides the conjunction of cons over variables from t. On Sat the
 // returned model assigns every variable that occurs in cons (other
 // variables are unconstrained; use their intrinsic bounds or zero).
-func (s *Solver) Check(t *VarTable, cons []Constraint) (Result, Model) {
+func (s *Solver) Check(t *VarTable, cons []Constraint) (Result, *Model) {
 	return s.CheckCtx(context.Background(), t, cons)
 }
 
@@ -80,7 +80,7 @@ func (s *Solver) Check(t *VarTable, cons []Constraint) (Result, Model) {
 // the same cancellation at its own loop and stops. Every individual query
 // is already bounded by the solver budgets, so the context is consulted
 // between the solving stages rather than inside the inner search loops.
-func (s *Solver) CheckCtx(ctx context.Context, t *VarTable, cons []Constraint) (Result, Model) {
+func (s *Solver) CheckCtx(ctx context.Context, t *VarTable, cons []Constraint) (Result, *Model) {
 	s.Stats.Checks++
 	if ctx != nil && ctx.Err() != nil {
 		s.Stats.Unknown++
@@ -100,7 +100,7 @@ func (s *Solver) CheckCtx(ctx context.Context, t *VarTable, cons []Constraint) (
 	}
 	if len(live) == 0 {
 		s.Stats.Sat++
-		return Sat, Model{}
+		return Sat, new(Model)
 	}
 
 	p := newProblem(t, live)
@@ -458,7 +458,7 @@ func (p *problem) termMin(tm Term) ext {
 // search attempts to build an integer model by branching on candidate
 // values and re-propagating. It is sound (returned models are verified) but
 // intentionally incomplete; the FM pass provides unsat proofs.
-func (p *problem) search(budget *int, maxPasses int) (Model, bool) {
+func (p *problem) search(budget *int, maxPasses int) (*Model, bool) {
 	if *budget <= 0 {
 		return nil, false
 	}
@@ -550,16 +550,16 @@ func (p *problem) candidates(di int) []int64 {
 	return out
 }
 
-func (p *problem) modelFromFixed() Model {
-	m := make(Model, len(p.vars))
+func (p *problem) modelFromFixed() *Model {
+	var b ModelBuilder
 	for i, v := range p.vars {
 		val, _ := p.ivs[i].fixed()
-		m[v] = val
+		b.Set(v, val)
 	}
-	return m
+	return b.Model()
 }
 
-func (p *problem) verify(m Model) bool {
+func (p *problem) verify(m *Model) bool {
 	for _, c := range p.cons {
 		if !c.Holds(m) {
 			return false

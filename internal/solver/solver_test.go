@@ -6,7 +6,7 @@ import (
 )
 
 // checkSat asserts Sat and returns a verified model.
-func checkSat(t *testing.T, tbl *VarTable, cons []Constraint) Model {
+func checkSat(t *testing.T, tbl *VarTable, cons []Constraint) *Model {
 	t.Helper()
 	s := New()
 	res, m := s.Check(tbl, cons)
@@ -47,11 +47,11 @@ func TestLinExprAlgebra(t *testing.T) {
 	if len(e2.Terms) != 1 || e2.Terms[0].Coeff != 2 || e2.Const != 3 {
 		t.Fatalf("e2 = %+v", e2)
 	}
-	if got := e.Eval(Model{x: 5, y: 7}); got != 20 {
+	if got := e.Eval(ModelOf(map[Var]int64{x: 5, y: 7})); got != 20 {
 		t.Errorf("Eval = %d, want 20", got)
 	}
 	neg := e.Neg()
-	if got := neg.Eval(Model{x: 5, y: 7}); got != -20 {
+	if got := neg.Eval(ModelOf(map[Var]int64{x: 5, y: 7})); got != -20 {
 		t.Errorf("Neg Eval = %d, want -20", got)
 	}
 	zero := e.Sub(e)
@@ -92,8 +92,8 @@ func TestSimpleBounds(t *testing.T) {
 		Ge(VarExpr(x), ConstExpr(3)),
 		Lt(VarExpr(x), ConstExpr(10)),
 	})
-	if m[x] < 3 || m[x] >= 10 {
-		t.Errorf("model x = %d outside [3,10)", m[x])
+	if m.Value(x) < 3 || m.Value(x) >= 10 {
+		t.Errorf("model x = %d outside [3,10)", m.Value(x))
 	}
 	checkUnsat(t, tbl, []Constraint{
 		Ge(VarExpr(x), ConstExpr(10)),
@@ -126,7 +126,7 @@ func TestEqualityChains(t *testing.T) {
 		Eq(VarExpr(y), VarExpr(z).AddConst(1)),
 		Eq(VarExpr(z), ConstExpr(5)),
 	})
-	if m[x] != 7 || m[y] != 6 || m[z] != 5 {
+	if m.Value(x) != 7 || m.Value(y) != 6 || m.Value(z) != 5 {
 		t.Errorf("model = %v, want x=7 y=6 z=5", m)
 	}
 	checkUnsat(t, tbl, []Constraint{
@@ -139,8 +139,8 @@ func TestDisequality(t *testing.T) {
 	tbl := NewVarTable()
 	x := tbl.NewVarBounded("x", 0, 1)
 	m := checkSat(t, tbl, []Constraint{Ne(VarExpr(x), ConstExpr(0))})
-	if m[x] != 1 {
-		t.Errorf("x = %d, want 1", m[x])
+	if m.Value(x) != 1 {
+		t.Errorf("x = %d, want 1", m.Value(x))
 	}
 	checkUnsat(t, tbl, []Constraint{
 		Ne(VarExpr(x), ConstExpr(0)),
@@ -156,8 +156,8 @@ func TestDisequalityUnbounded(t *testing.T) {
 		Ne(VarExpr(x), ConstExpr(1)),
 		Ne(VarExpr(x), ConstExpr(-1)),
 	})
-	if m[x] == 0 || m[x] == 1 || m[x] == -1 {
-		t.Errorf("x = %d violates disequalities", m[x])
+	if m.Value(x) == 0 || m.Value(x) == 1 || m.Value(x) == -1 {
+		t.Errorf("x = %d violates disequalities", m.Value(x))
 	}
 }
 
@@ -171,7 +171,7 @@ func TestTwoVarInequalities(t *testing.T) {
 		Le(VarExpr(y), ConstExpr(10)),
 		Ge(VarExpr(x), ConstExpr(3)),
 	})
-	if m[x] < 3 || m[x] > 5 || m[y] < m[x]+5 || m[y] > 10 {
+	if m.Value(x) < 3 || m.Value(x) > 5 || m.Value(y) < m.Value(x)+5 || m.Value(y) > 10 {
 		t.Errorf("model = %v", m)
 	}
 	checkUnsat(t, tbl, []Constraint{
@@ -209,8 +209,8 @@ func TestFMSumConstraint(t *testing.T) {
 		Le(sum, ConstExpr(5)),
 		Ge(sum, ConstExpr(5)),
 	})
-	if m[x]+m[y] != 5 {
-		t.Errorf("x+y = %d, want 5", m[x]+m[y])
+	if m.Value(x)+m.Value(y) != 5 {
+		t.Errorf("x+y = %d, want 5", m.Value(x)+m.Value(y))
 	}
 }
 
@@ -219,8 +219,8 @@ func TestCoefficients(t *testing.T) {
 	x := tbl.NewVar("x")
 	// 3x ≥ 7 → x ≥ 3 for integers.
 	m := checkSat(t, tbl, []Constraint{Ge(VarExpr(x).MulConst(3), ConstExpr(7))})
-	if m[x] < 3 {
-		t.Errorf("3x>=7 gave x = %d", m[x])
+	if m.Value(x) < 3 {
+		t.Errorf("3x>=7 gave x = %d", m.Value(x))
 	}
 	// 2x = 7 has no integer solution.
 	res, _ := New().Check(tbl, []Constraint{Eq(VarExpr(x).MulConst(2), ConstExpr(7))})
@@ -236,8 +236,8 @@ func TestIntrinsicBounds(t *testing.T) {
 	b := tbl.NewVarBounded("byte", 0, 255)
 	checkUnsat(t, tbl, []Constraint{Gt(VarExpr(b), ConstExpr(255))})
 	m := checkSat(t, tbl, []Constraint{Gt(VarExpr(b), ConstExpr(254))})
-	if m[b] != 255 {
-		t.Errorf("byte = %d, want 255", m[b])
+	if m.Value(b) != 255 {
+		t.Errorf("byte = %d, want 255", m.Value(b))
 	}
 }
 
@@ -252,7 +252,7 @@ func TestPaperStyleQuery(t *testing.T) {
 		Lt(VarExpr(i), VarExpr(length)),
 		Ge(VarExpr(i), ConstExpr(512)),
 	})
-	if m[length] <= 518 || m[i] < 512 || m[i] >= m[length] {
+	if m.Value(length) <= 518 || m.Value(i) < 512 || m.Value(i) >= m.Value(length) {
 		t.Errorf("model = %v", m)
 	}
 	// With a short string the overflow is unreachable.
@@ -274,7 +274,7 @@ func TestNegate(t *testing.T) {
 	for _, c := range cons {
 		n := c.Negate()
 		for v := int64(-10); v <= 10; v++ {
-			m := Model{x: v}
+			m := ModelOf(map[Var]int64{x: v})
 			if c.Holds(m) == n.Holds(m) {
 				t.Errorf("constraint %s and negation %s agree at x=%d",
 					c.String(tbl), n.String(tbl), v)
@@ -282,7 +282,7 @@ func TestNegate(t *testing.T) {
 		}
 		nn := n.Negate()
 		for v := int64(-10); v <= 10; v++ {
-			m := Model{x: v}
+			m := ModelOf(map[Var]int64{x: v})
 			if c.Holds(m) != nn.Holds(m) {
 				t.Errorf("double negation differs at x=%d", v)
 			}
@@ -334,13 +334,14 @@ func TestConstraintString(t *testing.T) {
 }
 
 // bruteForce exhaustively decides a system over a small box domain.
-func bruteForce(cons []Constraint, vars []Var, lo, hi int64) (bool, Model) {
-	assign := make(Model, len(vars))
+func bruteForce(cons []Constraint, vars []Var, lo, hi int64) (bool, *Model) {
+	assign := make(map[Var]int64, len(vars))
 	var rec func(i int) bool
 	rec = func(i int) bool {
 		if i == len(vars) {
+			m := ModelOf(assign)
 			for _, c := range cons {
-				if !c.Holds(assign) {
+				if !c.Holds(m) {
 					return false
 				}
 			}
@@ -355,7 +356,7 @@ func bruteForce(cons []Constraint, vars []Var, lo, hi int64) (bool, Model) {
 		return false
 	}
 	if rec(0) {
-		return true, assign
+		return true, ModelOf(assign)
 	}
 	return false, nil
 }
@@ -434,7 +435,7 @@ func TestCachedSolver(t *testing.T) {
 	if r1 != Sat || r2 != Sat {
 		t.Fatalf("results: %v, %v", r1, r2)
 	}
-	if m1[x] != m2[x] {
+	if m1.Value(x) != m2.Value(x) {
 		t.Errorf("cached model differs: %v vs %v", m1, m2)
 	}
 	if cs.Hits != 1 || cs.Misses != 1 {

@@ -14,7 +14,7 @@ func TestCachedSolverSpillFiresOncePerVerdict(t *testing.T) {
 		res    Result
 	}
 	var got []spilled
-	cs.Spill = func(d Digest, bsig, origin uint64, cons []Constraint, res Result, model Model) {
+	cs.Spill = func(d Digest, bsig, origin uint64, cons []Constraint, res Result, model *Model) {
 		got = append(got, spilled{d, origin, res})
 	}
 	tbl := NewVarTable()
@@ -88,7 +88,7 @@ func TestCachedSolverEvictionInvalidationSplit(t *testing.T) {
 func TestSharedCacheSeedAndPersistHits(t *testing.T) {
 	sc := NewSharedCache(0)
 	spills := 0
-	sc.Spill = func(d Digest, bsig, origin uint64, cons []Constraint, res Result, model Model) {
+	sc.Spill = func(d Digest, bsig, origin uint64, cons []Constraint, res Result, model *Model) {
 		spills++
 	}
 	tbl := NewVarTable()
@@ -98,12 +98,12 @@ func TestSharedCacheSeedAndPersistHits(t *testing.T) {
 	wd, fd := DigestOf(warm), DigestOf(fresh)
 	bsig := boundsSig(tbl, warm)
 
-	sc.Seed(wd, bsig, 7, warm, Sat, Model{x: 3})
+	sc.Seed(wd, bsig, 7, warm, Sat, ModelOf(map[Var]int64{x: 3}))
 	if spills != 0 {
 		t.Fatalf("Seed offered to spill hook (%d calls)", spills)
 	}
 	res, m, ok := sc.lookup(wd, bsig, warm)
-	if !ok || res != Sat || m[x] != 3 {
+	if !ok || res != Sat || m.Value(x) != 3 {
 		t.Fatalf("seeded lookup = (%v, %v, %v)", res, m, ok)
 	}
 	if c := sc.Counters(); c.PersistHits != 1 || c.Hits != 1 {
@@ -131,8 +131,8 @@ func TestSharedCacheInvalidateOrigins(t *testing.T) {
 	y := tbl.NewVar("y")
 	cx := []Constraint{Ge(VarExpr(x), ConstExpr(1))}
 	cy := []Constraint{Ge(VarExpr(y), ConstExpr(2))}
-	sc.store(DigestOf(cx), boundsSig(tbl, cx), 100, cx, Sat, Model{x: 1})
-	sc.store(DigestOf(cy), boundsSig(tbl, cy), 200, cy, Sat, Model{y: 2})
+	sc.store(DigestOf(cx), boundsSig(tbl, cx), 100, cx, Sat, ModelOf(map[Var]int64{x: 1}))
+	sc.store(DigestOf(cy), boundsSig(tbl, cy), 200, cy, Sat, ModelOf(map[Var]int64{y: 2}))
 
 	if n := sc.InvalidateOrigins(map[uint64]bool{100: true}); n != 1 {
 		t.Fatalf("InvalidateOrigins = %d, want 1", n)

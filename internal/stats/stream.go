@@ -105,6 +105,12 @@ type streamSample struct {
 	faulty   valueCounts
 }
 
+// sampleKey identifies one (location, variable) pair.
+type sampleKey struct {
+	loc  trace.Location
+	name string
+}
+
 // StreamAnalyzer consumes runs one at a time and builds the ranked
 // predicates while holding only per-(location, variable) value sketches,
 // never the runs themselves. It is the package's one predicate builder:
@@ -112,8 +118,8 @@ type streamSample struct {
 // drive it.
 type StreamAnalyzer struct {
 	opts      StreamOpts
-	samples   map[string]*streamSample
-	order     []string
+	samples   map[sampleKey]*streamSample
+	order     []*streamSample // first seen first
 	runs      int
 	locs      map[trace.Location]struct{}
 	vars      map[string]struct{}
@@ -124,7 +130,7 @@ type StreamAnalyzer struct {
 func NewStreamAnalyzer(opts StreamOpts) *StreamAnalyzer {
 	return &StreamAnalyzer{
 		opts:    opts,
-		samples: make(map[string]*streamSample),
+		samples: make(map[sampleKey]*streamSample),
 		locs:    make(map[trace.Location]struct{}),
 		vars:    make(map[string]struct{}),
 	}
@@ -138,7 +144,7 @@ func (a *StreamAnalyzer) Add(run *trace.Run) {
 		a.locs[rec.Loc] = struct{}{}
 		for _, ob := range rec.Obs {
 			a.vars[ob.Var] = struct{}{}
-			key := rec.Loc.String() + "/" + ob.Var
+			key := sampleKey{loc: rec.Loc, name: ob.Var}
 			ss, ok := a.samples[key]
 			if !ok {
 				ss = &streamSample{
@@ -148,7 +154,7 @@ func (a *StreamAnalyzer) Add(run *trace.Run) {
 					isString: ob.Kind == trace.ValueString,
 				}
 				a.samples[key] = ss
-				a.order = append(a.order, key)
+				a.order = append(a.order, ss)
 			}
 			var spilled bool
 			if run.Faulty {
@@ -170,7 +176,7 @@ func (a *StreamAnalyzer) Fallbacks() int { return a.fallbacks }
 func (a *StreamAnalyzer) Finish() *Analysis {
 	out := &Analysis{Runs: a.runs, Locations: len(a.locs), Variables: len(a.vars)}
 	built := buildParallel(len(a.order), func(i int) *Predicate {
-		return buildPredicateDist(a.samples[a.order[i]])
+		return buildPredicateDist(a.order[i])
 	})
 	for _, p := range built {
 		if p != nil {

@@ -3,7 +3,6 @@ package symexec
 import (
 	"context"
 	"fmt"
-	"maps"
 	"slices"
 	"time"
 
@@ -131,7 +130,7 @@ type Vulnerability struct {
 	Pos         minic.Pos
 	Path        []trace.Location
 	Constraints []solver.Constraint
-	Model       solver.Model
+	Model       *solver.Model
 	Witness     *interp.Input
 }
 
@@ -643,7 +642,7 @@ func (ex *Executor) suspend(st *State) {
 
 // --- satisfiability plumbing ---
 
-func allHold(cons []solver.Constraint, m solver.Model) bool {
+func allHold(cons []solver.Constraint, m *solver.Model) bool {
 	for _, c := range cons {
 		if !c.Holds(m) {
 			return false
@@ -661,12 +660,13 @@ func allHold(cons []solver.Constraint, m solver.Model) bool {
 //  2. bounds refutation: a single-variable extra contradicts the interval
 //     the path condition implies for that variable;
 //  3. disjoint solve: extras whose variables the path condition does not
-//     mention are decided in isolation and their model merged.
+//     mention are decided in isolation, and the cached model is edited to
+//     bind their model's variables.
 //
 // A full query (fullQuery) looks up only the components the extras join,
 // merged with them (KLEE's independence optimization), and the components
 // without a record of their last check.
-func (ex *Executor) satisfiable(st *State, extra ...solver.Constraint) (bool, solver.Model) {
+func (ex *Executor) satisfiable(st *State, extra ...solver.Constraint) (bool, *solver.Model) {
 	// Stamp the query with its origin function's content hash (persistence
 	// attribution; see Options.OriginHashes). The model-check shortcut
 	// below issues no solver query, so stamping first costs nothing there.
@@ -685,14 +685,9 @@ func (ex *Executor) satisfiable(st *State, extra ...solver.Constraint) (bool, so
 		res, m := ex.Solver.CheckCtx(ex.runCtx(), ex.Table, extra)
 		switch res {
 		case solver.Sat:
-			merged := make(solver.Model, len(st.LastModel)+len(m))
-			for k, v := range st.LastModel {
-				merged[k] = v
-			}
-			for k, v := range m {
-				merged[k] = v
-			}
-			return true, merged
+			merged := st.LastModel.Edit()
+			merged.Merge(m)
+			return true, merged.Model()
 		case solver.Unsat:
 			return false, nil
 		}
@@ -714,12 +709,13 @@ func (ex *Executor) satisfiable(st *State, extra ...solver.Constraint) (bool, so
 // fullQuery decides pc(st) ∧ extra through the solver cache. It looks up
 // only the groups the extras form and the path-condition components that
 // hold no record; every other component is answered by its record. A
-// satisfiable query's model is the state's previous full-query model with
-// the bindings of the looked-up components replaced, built in at most one
-// map copy, and equals the union of every component's model. When the
-// executor keeps records (recording), a satisfiable query records each
-// component it looked up alone and becomes the state's query model.
-func (ex *Executor) fullQuery(st *State, extra []solver.Constraint) (solver.Result, solver.Model) {
+// satisfiable query's model is the state's previous full-query model
+// edited: its repairs undone and the bindings of the looked-up components
+// set, so it costs what changes, not the model's size. It equals the
+// union of every component's model. When the executor keeps records
+// (recording), a satisfiable query records each component it looked up
+// alone and becomes the state's query model.
+func (ex *Executor) fullQuery(st *State, extra []solver.Constraint) (solver.Result, *solver.Model) {
 	q, pc := &ex.query, st.pc()
 	look, after := pc.lookups(q, extra)
 	if len(look) == 0 && after == 0 {
@@ -728,36 +724,35 @@ func (ex *Executor) fullQuery(st *State, extra []solver.Constraint) (solver.Resu
 	if res := ex.Solver.LookupComponents(ex.runCtx(), ex.Table, look, after); res != solver.Sat {
 		return res, nil
 	}
-	lone := len(look) == 1 && look[0].Before == 0 && after == 0
-	var m solver.Model
+	var m *solver.Model
 	switch qm := st.qm; {
-	case lone:
+	case len(look) == 1 && look[0].Before == 0 && after == 0:
 		m = look[0].Model
 	case qm == nil:
 		// No record anywhere in the lineage, so every component was
 		// looked up.
-		m = make(solver.Model, len(look))
-	default:
-		m = make(solver.Model, len(qm.m)+len(look)) // a presized copy beats maps.Clone
-		for k, v := range qm.m {
-			m[k] = v
+		b := look[0].Model.Edit()
+		for _, c := range look[1:] {
+			b.Merge(c.Model)
 		}
+		m = b.Model()
+	default:
 		// Repair the base: drop the bindings no component holds, and
 		// restore the components answered by their records now.
+		b := qm.m.Edit()
 		for _, v := range qm.fresh {
-			delete(m, v)
+			b.Delete(v)
 		}
 		for _, s := range qm.restore {
 			_, joined := slices.BinarySearchFunc(q.touch, int(s), func(tc pcTouch, s int) int { return tc.slot - s })
 			if c := pc.comps.at(int(s)); c != nil && c.model != nil && !joined {
-				maps.Copy(m, c.model)
+				b.Merge(c.model)
 			}
 		}
-	}
-	if !lone {
 		for _, c := range look {
-			maps.Copy(m, c.Model)
+			b.Merge(c.Model)
 		}
+		m = b.Model()
 	}
 	if ex.recording(pc) {
 		ex.record(st, m, extra)
@@ -789,7 +784,7 @@ func (ex *Executor) recording(pc *pathCond) bool {
 // record files the verdicts of a satisfiable full query whose lookups are
 // in ex.query: each path-condition component it looked up alone records
 // its model, and m becomes the state's query model.
-func (ex *Executor) record(st *State, m solver.Model, extra []solver.Constraint) {
+func (ex *Executor) record(st *State, m *solver.Model, extra []solver.Constraint) {
 	q := &ex.query
 	p, tok := st.pathForWrite()
 	qm := &queryModel{m: m, restore: make([]int32, len(q.touch))}
@@ -874,7 +869,7 @@ func (ex *Executor) refutedByBounds(st *State, extra []solver.Constraint) bool {
 
 // commit appends constraints to the path condition and installs the model
 // that witnesses them.
-func (ex *Executor) commit(st *State, m solver.Model, cons ...solver.Constraint) {
+func (ex *Executor) commit(st *State, m *solver.Model, cons ...solver.Constraint) {
 	for _, c := range cons {
 		addPathConstraint(st, c)
 	}
@@ -909,10 +904,12 @@ func (ex *Executor) seedModelValue(st *State, v solver.Var, val int64) {
 		if st.pc().len() > 0 {
 			return
 		}
-		st.LastModel = solver.Model{v: val}
+		var b solver.ModelBuilder
+		b.Set(v, val)
+		st.LastModel = b.Model()
 		return
 	}
-	if _, exists := st.LastModel[v]; exists {
+	if _, exists := st.LastModel.Get(v); exists {
 		return
 	}
 	ex.extendModel(st, v, val)
@@ -932,18 +929,13 @@ func (ex *Executor) maybeSeedStr(st *State, v Value, kind byte, name string, arg
 	ex.seedModelValue(st, v.Str.LenVar, int64(len(seed)))
 }
 
-// extendModel installs var=val into the state's cached model (copy on
-// write: models are shared across forks).
+// extendModel installs var=val into the state's cached model, as a new
+// model derived from it: models are shared across forks.
 func (ex *Executor) extendModel(st *State, v solver.Var, val int64) {
 	if st.LastModel == nil {
 		return
 	}
-	nm := make(solver.Model, len(st.LastModel)+1)
-	for k, x := range st.LastModel {
-		nm[k] = x
-	}
-	nm[v] = val
-	st.extendedModel(nm, v)
+	st.extendedModel(st.LastModel.With(v, val), v)
 }
 
 // addPathConstraint adds c to the path condition, compacting
@@ -974,7 +966,7 @@ func addPathConstraint(st *State, c solver.Constraint) {
 
 // --- vulnerability reporting ---
 
-func (ex *Executor) report(st *State, kind interp.FaultKind, pos minic.Pos, m solver.Model, extra ...solver.Constraint) {
+func (ex *Executor) report(st *State, kind interp.FaultKind, pos minic.Pos, m *solver.Model, extra ...solver.Constraint) {
 	if m == nil {
 		// Unknown-model detection: confirm with a full query.
 		ok, mm := ex.satisfiable(st, extra...)

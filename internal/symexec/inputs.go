@@ -365,7 +365,7 @@ const defaultWitnessByte = 'a'
 
 // witness converts a solver model into a concrete program input that
 // steers the concrete VM down the discovered path.
-func (r *inputRegistry) witness(m solver.Model) *interp.Input {
+func (r *inputRegistry) witness(m *solver.Model) *interp.Input {
 	in := &interp.Input{
 		Ints: make(map[string]int64),
 		Strs: make(map[string]string),
@@ -383,7 +383,7 @@ func (r *inputRegistry) witness(m solver.Model) *interp.Input {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for _, name := range r.intOrder {
-		if v, ok := m[r.ints[name]]; ok {
+		if v, ok := m.Get(r.ints[name]); ok {
 			in.Ints[name] = v
 		} else {
 			in.Ints[name] = 0
@@ -418,17 +418,17 @@ func (r *inputRegistry) witness(m solver.Model) *interp.Input {
 // materialize renders a symbolic string under a model: length from the
 // model (0 when unconstrained), bytes from materialized byte variables,
 // filler elsewhere.
-func (r *inputRegistry) materialize(s *SymString, m solver.Model) string {
+func (r *inputRegistry) materialize(s *SymString, m *solver.Model) string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.materializeLocked(s, m)
 }
 
-func (r *inputRegistry) materializeLocked(s *SymString, m solver.Model) string {
+func (r *inputRegistry) materializeLocked(s *SymString, m *solver.Model) string {
 	if s.IsLit {
 		return s.Lit
 	}
-	length, ok := m[s.LenVar]
+	length, ok := m.Get(s.LenVar)
 	if !ok {
 		length = 0
 	}
@@ -449,7 +449,7 @@ func (r *inputRegistry) materializeLocked(s *SymString, m solver.Model) string {
 			v, ok = r.bytes[byteKey{strID: s.ID, idx: i}]
 		}
 		if ok {
-			if mv, ok := m[v]; ok && mv >= 0 && mv <= 255 {
+			if mv, ok := m.Get(v); ok && mv >= 0 && mv <= 255 {
 				b = byte(mv)
 			}
 		}

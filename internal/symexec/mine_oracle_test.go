@@ -77,10 +77,11 @@ func TestMinedSummariesMatchConcreteRuns(t *testing.T) {
 				return
 			}
 			calls[ev.Fn.Index]++
-			entry := make(solver.Model, len(args))
+			var b solver.ModelBuilder
 			for i, a := range args {
-				entry[solver.Var(i)] = a
+				b.Set(solver.Var(i), a)
 			}
+			entry := b.Model()
 			call := func() string {
 				return fmt.Sprintf("%s.%s(%s)", app.Name, ev.Fn.Name, strings.Trim(fmt.Sprint(args), "[]"))
 			}
@@ -135,7 +136,7 @@ func TestMinedSummariesMatchConcreteRuns(t *testing.T) {
 	}
 }
 
-func holdsAll(cons []solver.Constraint, m solver.Model) bool {
+func holdsAll(cons []solver.Constraint, m *solver.Model) bool {
 	for _, c := range cons {
 		if !c.Holds(m) {
 			return false

@@ -61,7 +61,7 @@ type pcComp struct {
 	vars   []solver.Var
 	bounds []VarBounds // parallel to vars
 	digest solver.Digest
-	model  solver.Model // the record (nil: none)
+	model  *solver.Model // the record (nil: none)
 }
 
 // pcVar is a variable's entry in the index: the component that mentions
@@ -266,7 +266,7 @@ func (pc *pathCond) compOwned(tok *ownerToken, s int) *pcComp {
 // keep records model as the satisfiable verdict of component s, copying
 // the component first unless tok owns it. A nil model (a verdict decoded
 // without bindings) records nothing.
-func (pc *pathCond) keep(tok *ownerToken, s int, model solver.Model) {
+func (pc *pathCond) keep(tok *ownerToken, s int, model *solver.Model) {
 	if model == nil {
 		return
 	}

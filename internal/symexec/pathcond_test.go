@@ -3,7 +3,6 @@ package symexec
 import (
 	"context"
 	"fmt"
-	"maps"
 	"math/rand"
 	"slices"
 	"sync"
@@ -82,11 +81,11 @@ type pcGen struct {
 	pool []solver.Var
 	// checked holds the records requireRecords has compared with a
 	// fresh check already, by component.
-	checked map[*pcComp]solver.Model
+	checked map[*pcComp]*solver.Model
 }
 
 func newPCGen(seed int64, nvars int) *pcGen {
-	g := &pcGen{rng: rand.New(rand.NewSource(seed)), tbl: solver.NewVarTable(), checked: map[*pcComp]solver.Model{}}
+	g := &pcGen{rng: rand.New(rand.NewSource(seed)), tbl: solver.NewVarTable(), checked: map[*pcComp]*solver.Model{}}
 	for i := 0; i < nvars; i++ {
 		g.pool = append(g.pool, g.tbl.NewVarBounded(fmt.Sprintf("v%d", i), -20, 20))
 	}
@@ -222,12 +221,12 @@ func requireRecords(t *testing.T, label string, st *State, g *pcGen) {
 		if live != (c != nil) || bare != (c != nil && c.model == nil) {
 			t.Fatalf("%s: slot %d: masks say live=%v bare=%v, record %v", label, s, live, bare, c != nil && c.model != nil)
 		}
-		if c == nil || c.model == nil || sameModel(g.checked[c], c.model) {
+		if c == nil || c.model == nil || g.checked[c] == c.model {
 			continue
 		}
 		g.checked[c] = c.model
 		res, m2 := solver.New().Check(g.tbl, c.cons)
-		if res != solver.Sat || !maps.Equal(c.model, m2) {
+		if res != solver.Sat || !c.model.Equal(m2) {
 			t.Fatalf("%s: slot %d records Sat %v, a fresh check returns %v %v\ncomponent %v",
 				label, s, c.model, res, m2, renderPC(c.cons))
 		}
@@ -238,12 +237,12 @@ func requireRecords(t *testing.T, label string, st *State, g *pcGen) {
 // checks its verdict and model against CheckComponents over the reference
 // partition on a fresh solver: the model must be exactly the union of the
 // component models, with no binding from anywhere else.
-func requireFullQuery(t *testing.T, label string, ex *Executor, st *State, ref, extras []solver.Constraint) (solver.Result, solver.Model) {
+func requireFullQuery(t *testing.T, label string, ex *Executor, st *State, ref, extras []solver.Constraint) (solver.Result, *solver.Model) {
 	t.Helper()
 	res, m := ex.fullQuery(st, extras)
 	wantRes, want := solver.NewCached(solver.New()).CheckComponents(context.Background(), ex.Table,
 		solvertest.Components(append(slices.Clip(ref), extras...)))
-	if res != wantRes || !maps.Equal(m, want) {
+	if res != wantRes || !m.Equal(want) {
 		t.Fatalf("%s: full query %v %v, want %v %v\nquery %v", label, res, m, wantRes, want,
 			renderPC(append(slices.Clip(ref), extras...)))
 	}
@@ -480,7 +479,7 @@ func TestPathCondConcurrentForkCommit(t *testing.T) {
 					}
 					res, m := ex.fullQuery(s.st, extras)
 					wantRes, wantM := solver.NewCached(solver.New()).CheckComponents(context.Background(), g.tbl, want)
-					if res != wantRes || !maps.Equal(m, wantM) {
+					if res != wantRes || !m.Equal(wantM) {
 						t.Errorf("goroutine %d step %d: full query %v %v, want %v %v", w, i, res, m, wantRes, wantM)
 						return
 					}
@@ -520,7 +519,7 @@ func TestAddConstraintKeepsVarIndex(t *testing.T) {
 		{"sum", solver.Ge(solver.VarExpr(x).Add(solver.VarExpr(y)), solver.ConstExpr(1)),
 			solver.Le(solver.VarExpr(x).Add(solver.VarExpr(y)), solver.ConstExpr(0))},
 	} {
-		st := &State{Status: StatusActive, Frames: []*Frame{{Fn: prog.Funcs[prog.MainIndex]}}, LastModel: solver.Model{}}
+		st := &State{Status: StatusActive, Frames: []*Frame{{Fn: prog.Funcs[prog.MainIndex]}}, LastModel: new(solver.Model)}
 		st.AddConstraint(tc.pc)
 		if ok, m := ex.satisfiable(st, tc.extra); ok {
 			t.Errorf("%s: pc ∧ extra reported satisfiable with model %v", tc.name, m)

@@ -126,7 +126,7 @@ func TestSolverTermsRoundTrip(t *testing.T) {
 		}},
 		{Op: solver.OpEq, E: solver.ConstExpr(0)},
 	}
-	m := solver.Model{0: 5, 3: -9}
+	m := solver.ModelOf(map[solver.Var]int64{0: 5, 3: -9})
 	w := NewWriter()
 	EncodeConstraints(w, cons)
 	EncodeModel(w, m)

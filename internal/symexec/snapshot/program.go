@@ -385,26 +385,22 @@ func DecodeConstraints(r *Reader) ([]solver.Constraint, error) {
 	return cons, nil
 }
 
-// EncodeModel writes a model in sorted variable order (nil allowed).
-func EncodeModel(w *Writer, m solver.Model) {
+// EncodeModel writes a model in ascending variable order (nil allowed).
+func EncodeModel(w *Writer, m *solver.Model) {
 	if m == nil {
 		w.Varint(-1)
 		return
 	}
-	vars := make([]solver.Var, 0, len(m))
-	for v := range m {
-		vars = append(vars, v)
-	}
-	sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
-	w.Varint(int64(len(vars)))
-	for _, v := range vars {
+	w.Varint(int64(m.Len()))
+	m.Range(func(v solver.Var, x int64) bool {
 		w.Varint(int64(v))
-		w.Varint(m[v])
-	}
+		w.Varint(x)
+		return true
+	})
 }
 
 // DecodeModel reads a model (nil when encoded as nil).
-func DecodeModel(r *Reader) (solver.Model, error) {
+func DecodeModel(r *Reader) (*solver.Model, error) {
 	n, err := r.Varint()
 	if err != nil {
 		return nil, err
@@ -415,7 +411,7 @@ func DecodeModel(r *Reader) (solver.Model, error) {
 	if n > int64(r.Len()) {
 		return nil, fmt.Errorf("snapshot: model size %d out of range", n)
 	}
-	m := make(solver.Model, n)
+	var m solver.ModelBuilder
 	for i := int64(0); i < n; i++ {
 		v, err := r.Varint()
 		if err != nil {
@@ -425,9 +421,9 @@ func DecodeModel(r *Reader) (solver.Model, error) {
 		if err != nil {
 			return nil, err
 		}
-		m[solver.Var(v)] = val
+		m.Set(solver.Var(v), val)
 	}
-	return m, nil
+	return m.Model(), nil
 }
 
 // EncodeInput writes a concrete program input (nil allowed).

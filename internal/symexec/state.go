@@ -1,7 +1,6 @@
 package symexec
 
 import (
-	"reflect"
 	"slices"
 	"sync/atomic"
 
@@ -94,8 +93,8 @@ type State struct {
 	// LastModel caches a satisfying assignment for the path condition. It
 	// lets the executor skip solver calls when a new branch condition
 	// already holds under the cached model (the standard KLEE fast path).
-	// The map is shared across forks and never mutated in place.
-	LastModel solver.Model
+	// It is shared across forks; a model never changes once built.
+	LastModel *solver.Model
 
 	// qm is the model of the last satisfiable full query in the state's
 	// lineage, which the next full query starts from (see fullQuery), and
@@ -106,7 +105,7 @@ type State struct {
 	// heldModel and held record what the model shortcut has verified: the
 	// first held constraints of the path condition hold under heldModel.
 	// While heldModel is LastModel, the shortcut evaluates only the rest.
-	heldModel solver.Model
+	heldModel *solver.Model
 	held      int
 
 	// heap maps buffer identities to their cell storage. Forks share the
@@ -166,7 +165,7 @@ func (st *State) pop() Value {
 // component without a record, which the next query looks up. recorded
 // lists the slots the query recorded, for settleQuery.
 type queryModel struct {
-	m        solver.Model
+	m        *solver.Model
 	restore  []int32
 	fresh    []solver.Var
 	recorded []int32
@@ -174,7 +173,7 @@ type queryModel struct {
 
 // binds reports whether the query model binds v.
 func (qm *queryModel) binds(v solver.Var) bool {
-	_, ok := qm.m[v]
+	_, ok := qm.m.Get(v)
 	return ok
 }
 
@@ -189,7 +188,7 @@ func (st *State) settleQuery() {
 		return
 	}
 	st.qmPrev = nil
-	if sameModel(prev.m, st.LastModel) && !sameModel(st.qm.m, st.LastModel) {
+	if prev.m == st.LastModel && st.qm.m != st.LastModel {
 		st.qm = &queryModel{m: prev.m, restore: append(slices.Clip(prev.restore), st.qm.recorded...), fresh: prev.fresh}
 	}
 }
@@ -253,8 +252,8 @@ func (st *State) owner() *ownerToken {
 
 // pcHolds reports whether every path constraint holds under m, evaluating
 // only those not yet verified under m, and records how far they hold.
-func (st *State) pcHolds(m solver.Model) bool {
-	if !sameModel(st.heldModel, m) {
+func (st *State) pcHolds(m *solver.Model) bool {
+	if st.heldModel != m {
 		st.heldModel, st.held = m, 0
 	}
 	pc := st.pc()
@@ -273,8 +272,8 @@ func (st *State) pcHolds(m solver.Model) bool {
 // first constraint mentioning one of vars: nothing before it reads them.
 // A query model that is the cached model moves to nm, with vars to drop
 // at the next full query, so the state keeps one model, not two.
-func (st *State) extendedModel(nm solver.Model, vars ...solver.Var) {
-	if sameModel(st.heldModel, st.LastModel) {
+func (st *State) extendedModel(nm *solver.Model, vars ...solver.Var) {
+	if st.heldModel == st.LastModel {
 		for _, v := range vars {
 			if e := st.pc().vars.at(int(v)); e.slot != 0 && int(e.first) < st.held {
 				st.held = int(e.first)
@@ -282,15 +281,10 @@ func (st *State) extendedModel(nm solver.Model, vars ...solver.Var) {
 		}
 		st.heldModel = nm
 	}
-	if qm := st.qm; qm != nil && sameModel(qm.m, st.LastModel) && !slices.ContainsFunc(vars, qm.binds) {
+	if qm := st.qm; qm != nil && qm.m == st.LastModel && !slices.ContainsFunc(vars, qm.binds) {
 		st.qm = &queryModel{m: nm, restore: qm.restore, fresh: append(slices.Clip(qm.fresh), vars...), recorded: qm.recorded}
 	}
 	st.LastModel = nm
-}
-
-// sameModel reports whether a and b are the same map.
-func sameModel(a, b solver.Model) bool {
-	return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
 }
 
 // fork returns a copy-on-write child (the executor assigns it a fresh ID).

@@ -414,13 +414,10 @@ func (ex *Executor) stepDivMod(st *State, op minic.BinOp, l, r Value, pos minic.
 			qv--
 			rv += rc
 		}
-		nm := make(solver.Model, len(st.LastModel)+2)
-		for k, v := range st.LastModel {
-			nm[k] = v
-		}
-		nm[q] = qv
-		nm[rem] = rv
-		st.extendedModel(nm, q, rem)
+		nm := st.LastModel.Edit()
+		nm.Set(q, qv)
+		nm.Set(rem, rv)
+		st.extendedModel(nm.Model(), q, rem)
 	}
 	if op == minic.OpDiv {
 		st.push(LinVal(solver.VarExpr(q)))

@@ -137,7 +137,7 @@ func instExpr(e solver.LinExpr, args []Value) solver.LinExpr {
 // instPath is one summary path instantiated at a call site.
 type instPath struct {
 	cons []solver.Constraint
-	m    solver.Model
+	m    *solver.Model
 	ret  *solver.LinExpr
 }
 
