@@ -255,20 +255,16 @@ type WorkerConfig struct {
 }
 
 // NewDispatchRunner returns the worker-side unit executor for
-// dispatch.Serve: FrameAttemptUnit payloads run one candidate attempt,
-// FrameStateUnit payloads resume and drain one frontier shard. Each unit
-// is hermetic — decode, execute, encode — so a malformed unit fails that
-// unit only, never the worker.
+// dispatch.Serve: each FrameAttemptUnit payload runs one candidate
+// attempt, and any other unit kind is refused. Each unit is hermetic —
+// decode, execute, encode — so a malformed unit fails that unit only,
+// never the worker.
 func NewDispatchRunner(wc WorkerConfig) dispatch.Runner {
 	return func(typ byte, payload []byte) ([]byte, error) {
-		switch typ {
-		case snapshot.FrameAttemptUnit:
-			return runAttemptUnit(wc, payload)
-		case snapshot.FrameStateUnit:
-			return runStateUnitPayload(payload)
-		default:
+		if typ != snapshot.FrameAttemptUnit {
 			return nil, fmt.Errorf("core: unknown unit frame %#x", typ)
 		}
+		return runAttemptUnit(wc, payload)
 	}
 }
 
@@ -304,19 +300,6 @@ func runAttemptUnit(wc WorkerConfig, payload []byte) ([]byte, error) {
 	}
 	out, vuln := VerifyCandidateCtx(ctx, prog, cand, rank, cfg)
 	return encodeAttemptResult(out, vuln), nil
-}
-
-// runStateUnitPayload resumes one frontier shard and drains it.
-func runStateUnitPayload(payload []byte) ([]byte, error) {
-	u, err := symexec.DecodeStateUnit(payload)
-	if err != nil {
-		return nil, fmt.Errorf("decode state unit: %w", err)
-	}
-	res, err := symexec.RunStateUnit(context.Background(), u)
-	if err != nil {
-		return nil, err
-	}
-	return symexec.EncodeResult(res), nil
 }
 
 // DispatchEvent is one line of the -dispatch-log JSONL audit trail.

@@ -1,10 +1,11 @@
-// Package dispatch is the socket transport of the distributed frontier:
-// a coordinator ships work units (serialized candidate attempts or frontier
-// shards, see internal/symexec/snapshot) to worker processes and reads back
-// results. The protocol is deliberately small — CRC-framed messages over a
-// unix-domain or TCP stream, a magic/version handshake, one outstanding
-// unit per connection — because all sequencing intelligence (work-stealing,
-// re-dispatch, merge order) lives in the coordinator, not the wire.
+// Package dispatch is the socket transport of distributed candidate
+// verification: a coordinator ships work units (serialized candidate
+// attempts, see internal/core and internal/symexec/snapshot) to worker
+// processes and reads back results. The protocol is deliberately small —
+// CRC-framed messages over a unix-domain or TCP stream, a magic/version
+// handshake, one outstanding unit per connection — because all sequencing
+// intelligence (work-stealing, re-dispatch, merge order) lives in the
+// coordinator, not the wire.
 //
 // Failure model: any transport error — torn frame, checksum mismatch,
 // deadline expiry, connection reset — marks the client dead; the
@@ -21,8 +22,9 @@ import (
 
 // Magic identifies the protocol and its version. The Hello payload must
 // match exactly; mismatches (old binary, wrong port) fail the handshake
-// with a descriptive error instead of undefined framing behavior.
-const Magic = "statsym-dispatch/4"
+// with a descriptive error instead of undefined framing behavior. Bump it
+// whenever a unit kind or a unit codec changes.
+const Magic = "statsym-dispatch/5"
 
 // DefaultUnitDeadline bounds one unit's round trip when the caller does
 // not choose a deadline. Generous: a unit is a whole candidate attempt,

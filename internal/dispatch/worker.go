@@ -9,11 +9,11 @@ import (
 )
 
 // Runner executes one work unit on the worker side: typ is the
-// application frame type (FrameAttemptUnit, FrameStateUnit), payload its
-// serialized body, and the returned bytes become the FrameResult payload.
-// An error is reported to the coordinator as a FrameError; the worker
-// connection stays up (a unit that fails to decode must not take the
-// worker down with it).
+// application frame type (FrameAttemptUnit), payload its serialized body,
+// and the returned bytes become the FrameResult payload. An error is
+// reported to the coordinator as a FrameError; the worker connection
+// stays up (a unit that fails to decode must not take the worker down
+// with it).
 type Runner func(typ byte, payload []byte) ([]byte, error)
 
 // Serve accepts coordinator connections on l and processes their units

@@ -81,7 +81,7 @@ func TestRunContextMidRunCancel(t *testing.T) {
 	}
 	// Cancellation is observed at the next quantum boundary: the run must
 	// not have continued far beyond the hook that pulled the trigger.
-	if fires > 25+symexec.DefaultBatchSize {
+	if fires > 25+symexec.BatchSize {
 		t.Errorf("hook fired %d times after cancel at 25", fires-25)
 	}
 }

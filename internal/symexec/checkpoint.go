@@ -15,38 +15,38 @@ import (
 // Checkpoint capture and resume. A checkpoint is the complete serialized
 // search of a one-slot pure-mode executor — program, input spec, solver
 // variable table, input registry, effort counters, and every live state —
-// such that resuming it and running to completion produces the same result
-// an uninterrupted run would have (except wall-clock fields). The solver's
-// exact-match cache travels with the checkpoint, so even the hit/miss
-// history — and with it every solver counter — replays identically.
+// such that resuming it and exploring its frontier to the end produces the
+// same result an uninterrupted run would have (except wall-clock fields).
+// The solver's exact-match cache travels with the checkpoint, so even the
+// hit/miss history — and with it every solver counter — replays
+// identically.
 //
 // Capture is restricted to the configurations where that equivalence is
-// provable: Workers=0, one state per epoch (no slot lanes, whose variable
-// IDs are lane-striped), no guidance hook and no summarized calls (their
-// closures cannot cross a process boundary), and a dense variable table.
-// The equivalence additionally assumes the run stopped at a quantum
-// boundary with a FIFO scheduler; a mid-quantum step-limit stop
-// re-enqueues the interrupted state at the BFS tail, which is exactly the
-// order the checkpoint preserves, so capture-after-StepLimited resumes
-// faithfully.
+// provable (Checkpointable): Workers=0, one state per epoch (no slot
+// lanes, whose variable IDs are lane-striped), no guidance hook and no
+// summarized calls (their closures cannot cross a process boundary), and a
+// dense variable table. The equivalence additionally assumes a FIFO
+// scheduler. A step-limit stop mid-quantum re-enqueues the interrupted
+// state at the BFS tail (mergeOut), the order the checkpoint preserves, so
+// its remaining quantum runs later than in an uninterrupted run. That
+// moves no path, state or solver verdict of a resumed run that explores to
+// the end, which is what TestCheckpointResumeEquivalence pins. A resumed
+// run that itself stops on a budget can differ: by then it has explored a
+// slightly different set of states (ctree captured at 20,000 steps and
+// resumed to 40,000 creates 1,998 states; one run to 40,000 creates
+// 2,000). Keeping the cut quantum's remainder needs a new format version.
 const checkpointVersion = 1
 
-// EncodeCheckpoint serializes the executor's current search. The scheduler
-// is drained and re-filled in the same order, so a FIFO scheduler is
-// unchanged by capture; order-sensitive schedulers other than BFS should
-// not be captured mid-run.
+// EncodeCheckpoint serializes the executor's current search: program,
+// input spec, variable table and input registry; the effort and solver
+// counters; the solver cache; the visit counts; then the active and
+// suspended states. The scheduler is drained and re-filled in the same
+// order, so a FIFO scheduler is unchanged by capture; order-sensitive
+// schedulers other than BFS should not be captured mid-run.
 func (ex *Executor) EncodeCheckpoint() ([]byte, error) {
-	if err := ex.checkpointable(); err != nil {
+	if err := ex.Checkpointable(); err != nil {
 		return nil, err
 	}
-	return ex.encodeCheckpoint(ex.res, ex.Solver, ex.visits, ex.frontier(), ex.suspended)
-}
-
-// encodeCheckpoint writes one checkpoint blob: program, input spec,
-// variable table and input registry; the effort counters of res and the
-// logical counters of counters; the executor's solver cache; the visit
-// counts; then the active and suspended states.
-func (ex *Executor) encodeCheckpoint(res *Result, counters *solver.CachedSolver, visits [][]int64, active, suspended []*State) ([]byte, error) {
 	w := snapshot.NewWriter()
 	w.Uvarint(checkpointVersion)
 	snapshot.EncodeProgram(w, ex.Prog)
@@ -54,14 +54,14 @@ func (ex *Executor) encodeCheckpoint(res *Result, counters *solver.CachedSolver,
 	encodeTable(w, ex.Table)
 	e := newStateEncoder(w)
 	encodeRegistry(e, ex.inputs)
-	ex.encodeCounters(w, res, counters)
+	ex.encodeCounters(w)
 	encodeSolverCache(w, ex.Solver)
-	encodeVisits(w, visits)
+	encodeVisits(w, ex.visits)
 	pi := make(progIndex, len(ex.Prog.Funcs))
 	for i, f := range ex.Prog.Funcs {
 		pi[f] = i
 	}
-	for _, states := range [][]*State{active, suspended} {
+	for _, states := range [][]*State{ex.frontier(), ex.suspended} {
 		w.Int(len(states))
 		for _, st := range states {
 			if err := e.state(st, pi); err != nil {
@@ -72,8 +72,8 @@ func (ex *Executor) encodeCheckpoint(res *Result, counters *solver.CachedSolver,
 	return w.Bytes(), nil
 }
 
-// frontier returns the scheduler's active states in dispatch order and
-// re-enqueues them in that order (identity for FIFO schedulers).
+// frontier returns the scheduler's active states in the order it hands
+// them out and re-enqueues them in that order (identity for FIFO schedulers).
 func (ex *Executor) frontier() []*State {
 	var active []*State
 	for st := ex.sched.Next(); st != nil; st = ex.sched.Next() {
@@ -85,9 +85,10 @@ func (ex *Executor) frontier() []*State {
 	return active
 }
 
-// checkpointable reports whether this executor's configuration is inside
-// the provable-equivalence envelope.
-func (ex *Executor) checkpointable() error {
+// Checkpointable reports whether this executor's configuration is inside
+// the provable-equivalence envelope, so a caller can refuse a capture
+// before spending the run it would capture.
+func (ex *Executor) Checkpointable() error {
 	switch {
 	case ex.Opts.Workers > 0:
 		return fmt.Errorf("symexec: checkpoint requires one state per epoch (Workers=0)")
@@ -279,14 +280,15 @@ func decodeRegistry(d *stateDecoder, reg *inputRegistry) error {
 	return nil
 }
 
-// encodeCounters writes the executor's deterministic effort counters (the
-// fields of res) and the solver's logical query counters (those of cs),
-// so a resumed run's final Result reports run-global totals rather than
-// resumed-portion ones. Component records are not part of the format:
-// the hits slot holds Hits + Reused, what it held before records existed,
-// and a resumed run's states start without records, so its hits plus
-// reused components total an uninterrupted run's.
-func (ex *Executor) encodeCounters(w *snapshot.Writer, res *Result, cs *solver.CachedSolver) {
+// encodeCounters writes the executor's deterministic effort counters and
+// its solver's logical query counters, so a resumed run's final Result
+// reports run-global totals rather than resumed-portion ones. Component
+// records are not part of the format: the hits slot holds Hits + Reused,
+// what it held before records existed, and a resumed run's states start
+// without records, so its hits plus reused components total an
+// uninterrupted run's.
+func (ex *Executor) encodeCounters(w *snapshot.Writer) {
+	res, cs := ex.res, ex.Solver
 	w.Int(ex.nextID)
 	w.Int(ex.nextSeq)
 	w.Int(res.Paths)
@@ -565,48 +567,6 @@ func ResumeExecutor(blob []byte, opts Options) (*Executor, error) {
 		return nil, fmt.Errorf("symexec: %d trailing bytes after checkpoint", r.Len())
 	}
 	return ex, nil
-}
-
-// EncodeFrontierShards partitions the active frontier round-robin into n
-// checkpoint blobs, each carrying the full program/spec/table/registry but
-// zeroed effort counters and only its own states. Running every shard to
-// exhaustion and summing their Results (plus the pre-shard base Result)
-// reproduces the undivided run's totals, because in pure mode states
-// explore independently — the scheduler order only decides discovery
-// sequence, not the path set.
-//
-// Shards are rejected while states sit in the suspended pool (the revival
-// rule is a global-frontier decision that sharding would distort).
-func (ex *Executor) EncodeFrontierShards(n int) ([][]byte, error) {
-	if err := ex.checkpointable(); err != nil {
-		return nil, err
-	}
-	if n <= 0 {
-		return nil, fmt.Errorf("symexec: shard count %d must be positive", n)
-	}
-	if len(ex.suspended) != 0 {
-		return nil, fmt.Errorf("symexec: cannot shard with %d suspended states", len(ex.suspended))
-	}
-	active := ex.frontier()
-	blobs := make([][]byte, n)
-	for s := range blobs {
-		var mine []*State
-		for i, st := range active {
-			if i%n == s {
-				mine = append(mine, st)
-			}
-		}
-		// Zeroed effort counters, no vulnerabilities and no visit counts:
-		// summing the shards' Results onto the pre-shard base counts every
-		// step once. nextID/nextSeq stay, keeping per-shard tie-breaking
-		// deterministic.
-		blob, err := ex.encodeCheckpoint(&Result{}, &solver.CachedSolver{}, nil, mine, nil)
-		if err != nil {
-			return nil, err
-		}
-		blobs[s] = blob
-	}
-	return blobs, nil
 }
 
 // WriteCheckpointFile writes blob to path as a single CRC-framed .ssnap

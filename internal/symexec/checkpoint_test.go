@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/bytecode"
-	"repro/internal/interp"
 	"repro/internal/trace"
 )
 
@@ -150,134 +149,6 @@ func TestCheckpointReencodeStable(t *testing.T) {
 	}
 	if !bytes.Equal(blob, blob2) {
 		t.Fatalf("re-encoded checkpoint differs (%d vs %d bytes)", len(blob), len(blob2))
-	}
-}
-
-// shardDupSrc forks on a before a long loop and fails one assertion after
-// it, so a warmup that stops inside the loop leaves both states in the
-// frontier, and two shards reach the same fault site.
-const shardDupSrc = `
-func main() int {
-  int a = input_int("a");
-  int b = input_int("b");
-  int r = 0;
-  if (a > 5) { r = 1; } else { r = 2; }
-  int i = 0;
-  while (i < 200) { i = i + 1; }
-  assert(b != 3);
-  return r;
-}
-`
-
-// TestFrontierShardsUnion: splitting the frontier across shards, running
-// each as a state unit to exhaustion and merging the replies covers
-// exactly the undivided run's work and fault sites, and the merged solver
-// counters are the whole dispatched run's: every check is a miss of some
-// executor's cache, and every shard's hits are counted.
-func TestFrontierShardsUnion(t *testing.T) {
-	for name, src := range map[string]string{"ckpt": ckptSrc, "dup-site": shardDupSrc} {
-		t.Run(name, func(t *testing.T) {
-			prog := bytecode.MustCompile(name, src)
-			full := New(prog, ckptSpec(), ckptOpts()).Run()
-
-			partOpts := ckptOpts()
-			partOpts.MaxSteps = full.Steps / 3
-			partEx := New(prog, ckptSpec(), partOpts)
-			part := partEx.Run()
-			if !part.StepLimited {
-				t.Fatalf("partial run not step-limited")
-			}
-
-			shards, err := partEx.EncodeFrontierShards(3)
-			if err != nil {
-				t.Fatalf("EncodeFrontierShards: %v", err)
-			}
-			merged := *part
-			merged.StepLimited = false
-			wantHits := part.CacheHits
-			results := make([]*Result, len(shards))
-			for i, blob := range shards {
-				opts := ckptOpts()
-				u := &StateUnit{MaxSteps: opts.MaxSteps, MaxStates: opts.MaxStates, Blob: blob}
-				r, err := RunStateUnit(context.Background(), u)
-				if err != nil {
-					t.Fatalf("shard %d: %v", i, err)
-				}
-				if r, err = DecodeResult(EncodeResult(r)); err != nil {
-					t.Fatalf("shard %d result round trip: %v", i, err)
-				}
-				if r.StepLimited || r.Exhausted {
-					t.Fatalf("shard %d did not run to exhaustion", i)
-				}
-				wantHits += r.CacheHits
-				results[i] = r
-			}
-			MergeShards(&merged, results)
-			if merged.Paths != full.Paths {
-				t.Errorf("sharded paths = %d, want %d", merged.Paths, full.Paths)
-			}
-			if merged.Forks != full.Forks {
-				t.Errorf("sharded forks = %d, want %d", merged.Forks, full.Forks)
-			}
-			if merged.Steps != full.Steps {
-				t.Errorf("sharded steps = %d, want %d", merged.Steps, full.Steps)
-			}
-			var gotSites, wantSites []string
-			for _, v := range merged.Vulns {
-				gotSites = append(gotSites, v.Site())
-			}
-			for _, v := range full.Vulns {
-				wantSites = append(wantSites, v.Site())
-			}
-			if !reflect.DeepEqual(gotSites, wantSites) {
-				t.Errorf("sharded fault sites = %v, want %v", gotSites, wantSites)
-			}
-			if merged.StepLimited || merged.Exhausted {
-				t.Errorf("merged result reports a budget stop")
-			}
-			if merged.SolverChecks != merged.CacheMisses {
-				t.Errorf("merged solver checks = %d, cache misses = %d; want equal", merged.SolverChecks, merged.CacheMisses)
-			}
-			if merged.CacheHits != wantHits {
-				t.Errorf("merged cache hits = %d, want %d (warmup plus every shard)", merged.CacheHits, wantHits)
-			}
-		})
-	}
-}
-
-// TestStateUnitKeepsStringReadOracle: a shard runs with the string-read
-// oracle the coordinator's default options enable, so an out-of-bounds
-// char() past the warmup is still found.
-func TestStateUnitKeepsStringReadOracle(t *testing.T) {
-	prog := bytecode.MustCompile("strread", `
-func main() int {
-  int n = input_int("n");
-  int i = 0;
-  while (i < 100) { i = i + 1; }
-  string s = input_string("s");
-  return char(s, n);
-}`)
-	opts := DefaultOptions()
-	opts.StopAtFirstVuln = false
-	opts.MaxSteps = 200
-	ex := New(prog, nil, opts)
-	if res := ex.Run(); !res.StepLimited || res.Found() {
-		t.Fatalf("warmup: step-limited=%v found=%v, want a step-limited run without findings", res.StepLimited, res.Found())
-	}
-	shards, err := ex.EncodeFrontierShards(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := &StateUnit{MaxSteps: DefaultMaxSteps, MaxStates: DefaultMaxStates, Blob: shards[0]}
-	if u, err = DecodeStateUnit(EncodeStateUnit(u)); err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunStateUnit(context.Background(), u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Found() || res.Vulns[0].Kind != interp.FaultStringIndex {
-		t.Fatalf("shard vulns = %v, want the out-of-bounds string read", res.Vulns)
 	}
 }
 

@@ -44,8 +44,6 @@ type Options struct {
 	Timeout time.Duration
 	// StopAtFirstVuln stops the whole run at the first vulnerability.
 	StopAtFirstVuln bool
-	// BatchSize is the scheduling quantum in instructions (0: default).
-	BatchSize int
 	// MaxDepth bounds the call stack.
 	MaxDepth int
 	// CheckStringReads enables out-of-bounds oracles on char() with
@@ -95,10 +93,13 @@ type Options struct {
 const (
 	DefaultMaxStates  = 20_000
 	DefaultMaxSteps   = 20_000_000
-	DefaultBatchSize  = 64
 	DefaultMaxDepth   = 128
 	DefaultEpochWidth = 8
 )
+
+// BatchSize is the scheduling quantum: the instructions a drafted state
+// runs before it returns to the scheduler.
+const BatchSize = 64
 
 // DefaultOptions returns the pure-symbolic-execution defaults.
 func DefaultOptions() Options {
@@ -292,9 +293,6 @@ func newExecutor(prog *bytecode.Program, table *solver.VarTable, spec *InputSpec
 	}
 	if opts.MaxSteps == 0 {
 		opts.MaxSteps = DefaultMaxSteps
-	}
-	if opts.BatchSize == 0 {
-		opts.BatchSize = DefaultBatchSize
 	}
 	if opts.MaxDepth == 0 {
 		opts.MaxDepth = DefaultMaxDepth

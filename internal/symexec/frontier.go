@@ -71,7 +71,7 @@ type quantumOut struct {
 func (sx *Executor) runQuantumCollect(st *State, out *quantumOut, stepRoom int64, stateRoom int) {
 	out.children = out.children[:0]
 	out.suspend, out.done = false, false
-	for i := 0; i < sx.Opts.BatchSize; i++ {
+	for i := 0; i < BatchSize; i++ {
 		children, suspend, done := sx.step(st)
 		if len(children) > 0 {
 			out.children = append(out.children, children...)
@@ -254,7 +254,7 @@ func newFrontier(ex *Executor, width, workers int) *frontier {
 		for j, fn := range ex.Prog.Funcs {
 			sx.visitDelta[j] = make([]int64, len(fn.Code))
 		}
-		sx.visitDirty = make([]visitRef, 0, ex.Opts.BatchSize)
+		sx.visitDirty = make([]visitRef, 0, BatchSize)
 		f.slots[i] = sx
 	}
 	if ex.obsv != nil {

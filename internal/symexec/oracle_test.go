@@ -49,7 +49,7 @@ func (ex *Executor) runSequential() {
 // runQuantum executes up to BatchSize instructions of st, then reinserts
 // it into the scheduler if it is still runnable.
 func (ex *Executor) runQuantum(st *State) {
-	for i := 0; i < ex.Opts.BatchSize; i++ {
+	for i := 0; i < BatchSize; i++ {
 		children, suspend, done := ex.step(st)
 		for _, child := range children {
 			ex.addState(child)

@@ -1,12 +1,13 @@
-// Package snapshot is the compact wire codec of the distributed frontier:
-// it serializes programs, candidate paths, solver terms, and (through the
-// symexec package's wire layer) forked execution states so coordinator and
-// worker processes can exchange them over a socket. The encoding reuses the
-// corpus layer's primitives — uvarint/zigzag integers, length-prefixed
-// strings, a bounds-checked reader that turns corrupt bytes into errors
-// rather than panics — and adds a string-interning dictionary so repeated
-// names (function names, variable labels, channel keys) cost one varint
-// after first use.
+// Package snapshot is the compact binary codec behind checkpoint files and
+// dispatch units: it serializes programs, candidate paths, solver terms,
+// and (through the symexec package's wire layer) execution states, so a
+// search can be saved to a .ssnap file and a candidate attempt can be
+// shipped to a worker process. The encoding reuses the corpus layer's
+// primitives — uvarint/zigzag integers, length-prefixed strings, a
+// bounds-checked reader that turns corrupt bytes into errors rather than
+// panics — and adds a string-interning dictionary so repeated names
+// (function names, variable labels, channel keys) cost one varint after
+// first use.
 //
 // The codec is deterministic: encoding the same value twice produces the
 // same bytes (maps are emitted in sorted key order), which lets tests and
@@ -75,13 +76,6 @@ func (w *Writer) String(s string) {
 	w.buf = append(w.buf, s...)
 }
 
-// Blob appends a uvarint-length-prefixed byte slice (for nesting one
-// encoded payload — a checkpoint, a shard — inside another).
-func (w *Writer) Blob(b []byte) {
-	w.Uvarint(uint64(len(b)))
-	w.buf = append(w.buf, b...)
-}
-
 // Sym appends an interned string: a dictionary index for strings seen
 // before, or the next index followed by the raw bytes on first use.
 func (w *Writer) Sym(s string) {
@@ -143,15 +137,4 @@ func (r *Reader) Sym() (string, error) {
 	}
 	r.syms = append(r.syms, s)
 	return s, nil
-}
-
-// Blob reads a length-prefixed byte slice written by Writer.Blob. The
-// returned slice is a copy — it stays valid after the source buffer is
-// recycled.
-func (r *Reader) Blob() ([]byte, error) {
-	s, err := r.String()
-	if err != nil {
-		return nil, err
-	}
-	return []byte(s), nil
 }

@@ -29,11 +29,9 @@ const (
 	FrameResult   byte = 0x03
 	FrameError    byte = 0x04
 
-	// FrameAttemptUnit ships one whole candidate-verification attempt;
-	// FrameStateUnit ships a frontier shard (a checkpointed state subtree)
-	// of one symbolic execution.
+	// FrameAttemptUnit ships one whole candidate-verification attempt,
+	// the only unit kind a dispatch worker serves.
 	FrameAttemptUnit byte = 0x10
-	FrameStateUnit   byte = 0x11
 
 	// FrameCheckpoint is the single frame of a checkpoint (.ssnap) file.
 	FrameCheckpoint byte = 0x20

@@ -38,7 +38,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameTornRejected(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, FrameStateUnit, []byte("some payload bytes")); err != nil {
+	if err := WriteFrame(&buf, FrameAttemptUnit, []byte("some payload bytes")); err != nil {
 		t.Fatal(err)
 	}
 	whole := buf.Bytes()
