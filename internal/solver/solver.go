@@ -2,6 +2,7 @@ package solver
 
 import (
 	"context"
+	"slices"
 	"sort"
 )
 
@@ -20,6 +21,12 @@ type Solver struct {
 
 	// Stats counters (updated by Check).
 	Stats Stats
+
+	// scratch is the problem each Check resets, so that a solve allocates
+	// its constraint list, variable index, intervals and disequalities
+	// only when they outgrow an earlier solve's. A Solver belongs to one
+	// goroutine, like the executor or slot that owns it.
+	scratch problem
 }
 
 // Stats counts solver activity.
@@ -87,7 +94,8 @@ func (s *Solver) CheckCtx(ctx context.Context, t *VarTable, cons []Constraint) (
 		return Unknown, nil
 	}
 	// Trivial screening.
-	live := make([]Constraint, 0, len(cons))
+	p := &s.scratch
+	p.cons = p.cons[:0]
 	for _, c := range cons {
 		if c.IsTriviallyTrue() {
 			continue
@@ -96,14 +104,14 @@ func (s *Solver) CheckCtx(ctx context.Context, t *VarTable, cons []Constraint) (
 			s.Stats.Unsat++
 			return Unsat, nil
 		}
-		live = append(live, c)
+		p.cons = append(p.cons, c)
 	}
-	if len(live) == 0 {
+	if len(p.cons) == 0 {
 		s.Stats.Sat++
 		return Sat, new(Model)
 	}
 
-	p := newProblem(t, live)
+	p.reset(t)
 	if !p.propagate(s.maxPasses()) {
 		s.Stats.Unsat++
 		return Unsat, nil
@@ -301,9 +309,16 @@ type neqEntry struct {
 	val int64
 }
 
-func newProblem(t *VarTable, cons []Constraint) *problem {
-	p := &problem{table: t, cons: cons, idx: make(map[Var]int)}
-	for _, c := range cons {
+// reset makes p the problem of its constraints over t, reusing the
+// storage of the problem it was before.
+func (p *problem) reset(t *VarTable) {
+	p.table = t
+	if p.idx == nil {
+		p.idx = make(map[Var]int)
+	}
+	clear(p.idx)
+	p.vars, p.neq = p.vars[:0], p.neq[:0]
+	for _, c := range p.cons {
 		for _, tm := range c.E.Terms {
 			if _, seen := p.idx[tm.Var]; !seen {
 				p.idx[tm.Var] = len(p.vars)
@@ -311,7 +326,7 @@ func newProblem(t *VarTable, cons []Constraint) *problem {
 			}
 		}
 	}
-	p.ivs = make([]interval, len(p.vars))
+	p.ivs = slices.Grow(p.ivs[:0], len(p.vars))[:len(p.vars)]
 	for i, v := range p.vars {
 		iv := fullInterval()
 		info := t.Info(v)
@@ -323,7 +338,7 @@ func newProblem(t *VarTable, cons []Constraint) *problem {
 		}
 		p.ivs[i] = iv
 	}
-	for _, c := range cons {
+	for _, c := range p.cons {
 		if c.Op != OpNe {
 			continue
 		}
@@ -335,7 +350,6 @@ func newProblem(t *VarTable, cons []Constraint) *problem {
 			}
 		}
 	}
-	return p
 }
 
 func (p *problem) clone() *problem {
@@ -352,17 +366,17 @@ func (p *problem) propagate(maxPasses int) bool {
 		for _, c := range p.cons {
 			switch c.Op {
 			case OpLe:
-				ch, ok := p.propagateLe(c.E)
+				ch, ok := p.propagateLe(c.E, 1)
 				if !ok {
 					return false
 				}
 				changed = changed || ch
 			case OpEq:
-				ch1, ok := p.propagateLe(c.E)
+				ch1, ok := p.propagateLe(c.E, 1)
 				if !ok {
 					return false
 				}
-				ch2, ok := p.propagateLe(c.E.Neg())
+				ch2, ok := p.propagateLe(c.E, -1)
 				if !ok {
 					return false
 				}
@@ -395,16 +409,19 @@ func (p *problem) propagate(maxPasses int) bool {
 	return true
 }
 
-// propagateLe tightens bounds using Σ ci·xi ≤ −Const. For each term i,
+// propagateLe tightens bounds using sign·e ≤ 0, that is Σ ci·xi ≤ −Const
+// where ci and Const are sign·e's (sign is 1 or −1, so an equality's two
+// halves need no negated copy of e). For each term i,
 //
 //	ci·xi ≤ −Const − Σ_{j≠i} cj·xj ≤ −Const − min(Σ_{j≠i} cj·xj).
-func (p *problem) propagateLe(e LinExpr) (changed, ok bool) {
+func (p *problem) propagateLe(e LinExpr, sign int64) (changed, ok bool) {
+	k := sign * e.Const
 	// Feasibility of the constraint itself: min(Σ ci·xi) ≤ −Const.
 	totalMin := extOf(0)
 	for _, tm := range e.Terms {
-		totalMin = extAdd(totalMin, p.termMin(tm))
+		totalMin = extAdd(totalMin, p.termMin(Term{Coeff: sign * tm.Coeff, Var: tm.Var}))
 	}
-	if totalMin.isFin() && totalMin.v > -e.Const {
+	if totalMin.isFin() && totalMin.v > -k {
 		return false, false
 	}
 	if totalMin.cls == pinf {
@@ -417,23 +434,23 @@ func (p *problem) propagateLe(e LinExpr) (changed, ok bool) {
 			if j == i {
 				continue
 			}
-			rest = extAdd(rest, p.termMin(tj))
+			rest = extAdd(rest, p.termMin(Term{Coeff: sign * tj.Coeff, Var: tj.Var}))
 		}
 		if !rest.isFin() {
 			continue // unbounded rest: no tightening possible
 		}
-		rhs := satAdd(-e.Const, -rest.v)
+		rhs := satAdd(-k, -rest.v)
 		if !rhs.isFin() {
 			continue
 		}
 		di := p.idx[tm.Var]
 		iv := &p.ivs[di]
-		if tm.Coeff > 0 {
-			if iv.tightenHi(extOf(floorDiv(rhs.v, tm.Coeff))) {
+		if c := sign * tm.Coeff; c > 0 {
+			if iv.tightenHi(extOf(floorDiv(rhs.v, c))) {
 				changed = true
 			}
 		} else {
-			if iv.tightenLo(extOf(ceilDiv(rhs.v, tm.Coeff))) {
+			if iv.tightenLo(extOf(ceilDiv(rhs.v, c))) {
 				changed = true
 			}
 		}

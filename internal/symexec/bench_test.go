@@ -121,7 +121,7 @@ func legacyFork(st *State) *State {
 	pc := st.pc()
 	ns.path = &pathStore{owner: ns.tok,
 		pc: pathCond{cons: deepCopyVec(pc.cons, ns.tok), comps: deepCopyVec(pc.comps, ns.tok),
-			vars: deepCopyVec(pc.vars, ns.tok), mask0: pc.mask0, masks: deepCopyVec(pc.masks, ns.tok), ground: pc.ground, digest: pc.digest},
+			vars: deepCopyVec(pc.vars, ns.tok), mask0: pc.mask0, masks: deepCopyVec(pc.masks, ns.tok), ground: pc.ground, sum: pc.sum},
 		trace: deepCopyVec(st.store().trace, ns.tok)}
 	if st.heap != nil {
 		ns.heap = make(map[*SymBuffer]*bufCells, len(st.heap))
@@ -182,19 +182,14 @@ func BenchmarkForkCoWThenTouch(b *testing.B) {
 	}
 }
 
-// BenchmarkFullQuery is guided-deep's full-query shape: a state whose
-// path condition holds 1,200 constraints in 570 components forks, the
-// child commits a branch condition, and a full check of a new condition
-// runs against the whole path condition. Like guided-deep's states, the
-// parent has run a full query before, so its components carry records:
-// the child's query looks up only the component the condition joins and
-// the one its commit wrote, and answers the rest from their records.
-func BenchmarkFullQuery(b *testing.B) {
+// guidedDeepState returns an executor and a state in guided-deep's shape:
+// a path condition of 1,200 constraints in 570 components, two byte
+// disequalities on every variable and a bound on 60 of them.
+func guidedDeepState() (*Executor, *State, []solver.Var) {
 	prog := bytecode.MustCompile("fq", `func main() int { return 0; }`)
 	ex := New(prog, nil, DefaultOptions())
 	st := &State{Status: StatusActive, Frames: []*Frame{{Fn: prog.Funcs[prog.MainIndex]}}}
-	const comps = 570
-	vars := make([]solver.Var, comps)
+	vars := make([]solver.Var, 570)
 	for i := range vars {
 		vars[i] = ex.Table.NewVarBounded("b", 0, 255)
 		st.AddConstraint(solver.Ne(solver.VarExpr(vars[i]), solver.ConstExpr('<')))
@@ -203,6 +198,19 @@ func BenchmarkFullQuery(b *testing.B) {
 	for i := 0; i < 60; i++ {
 		st.AddConstraint(solver.Le(solver.VarExpr(vars[i]), solver.ConstExpr(200)))
 	}
+	return ex, st, vars
+}
+
+// BenchmarkFullQuery is guided-deep's full-query shape: a state whose
+// path condition holds 1,200 constraints in 570 components forks, the
+// child commits a branch condition, and a full check of a new condition
+// runs against the whole path condition. Like guided-deep's states, the
+// parent has run a full query before, so its components carry records:
+// the child's query looks up only the component the condition joins and
+// the one its commit wrote, and answers the rest from their records.
+func BenchmarkFullQuery(b *testing.B) {
+	ex, st, vars := guidedDeepState()
+	comps := len(vars)
 	if ok, _ := ex.satisfiable(st, solver.Le(solver.VarExpr(vars[0]), solver.ConstExpr(250))); !ok {
 		b.Fatal("parent's full query refuted")
 	}
@@ -214,6 +222,41 @@ func BenchmarkFullQuery(b *testing.B) {
 		}
 	}
 	for n := 0; n < comps*7; n++ {
+		query(n) // warm the cache with every component the loop touches
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		query(n)
+	}
+}
+
+// BenchmarkModelShortcut is a branch on guided-deep's shape followed by
+// the next one: a child forked from a state with 1,200 path constraints
+// in 570 components commits a condition its cached model violates, with
+// the model of a full query, and then checks a condition that model
+// satisfies, which the model shortcut answers. The shortcut evaluates
+// only the constraint the child committed, not the whole path condition.
+func BenchmarkModelShortcut(b *testing.B) {
+	ex, st, vars := guidedDeepState()
+	ok, m := ex.satisfiable(st)
+	if !ok || m == nil {
+		b.Fatal("parent's path condition refuted")
+	}
+	ex.commit(st, m)
+	query := func(n int) {
+		child := st.fork()
+		v := solver.VarExpr(vars[n%len(vars)])
+		ok, m := ex.satisfiable(child, solver.Ge(v, solver.ConstExpr(1))) // the parent's model binds v to 0
+		if !ok || m == nil || m == st.LastModel {
+			b.Fatal("branch not decided by a full query")
+		}
+		ex.commit(child, m, solver.Ge(v, solver.ConstExpr(1)))
+		if ok, next := ex.satisfiable(child, solver.Le(v, solver.ConstExpr(250))); !ok || next != m {
+			b.Fatal("next check not answered by the model shortcut")
+		}
+	}
+	for n := 0; n < len(vars); n++ {
 		query(n) // warm the cache with every component the loop touches
 	}
 	b.ReportAllocs()

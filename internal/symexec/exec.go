@@ -261,6 +261,22 @@ type Executor struct {
 	// query is the scratch space satisfiable assembles a query's
 	// components in.
 	query pcQuery
+
+	// derived is the last model satisfiable derived from a solver answer;
+	// commit installs it with the prefix it is known to satisfy held.
+	derived derivedModel
+}
+
+// derivedModel records that the first held constraints of a path
+// condition hold under m, a model derived from a solver answer for it.
+// The path condition is named by its store and the store's write count:
+// a fork child shares the store until it writes, and any write to the
+// store, or a copy of it, stops the record from matching.
+type derivedModel struct {
+	m    *solver.Model
+	path *pathStore
+	gen  uint64
+	held int
 }
 
 // New prepares an executor for prog with the given symbolic-input spec.
@@ -673,7 +689,7 @@ func (ex *Executor) satisfiable(st *State, extra ...solver.Constraint) (bool, *s
 			ex.Solver.Origin = ex.Opts.OriginHashes[fn.Index]
 		}
 	}
-	if st.LastModel != nil && allHold(extra, st.LastModel) && st.pcHolds(st.LastModel) {
+	if st.LastModel != nil && allHold(extra, st.LastModel) && st.pcHolds() {
 		return true, st.LastModel
 	}
 	if ex.refutedByBounds(st, extra) {
@@ -685,7 +701,11 @@ func (ex *Executor) satisfiable(st *State, extra ...solver.Constraint) (bool, *s
 		case solver.Sat:
 			merged := st.LastModel.Edit()
 			merged.Merge(m)
-			return true, merged.Model()
+			nm := merged.Model()
+			// m binds no path-condition variable, so what held under the
+			// cached model holds under nm.
+			ex.derive(st, nm, st.held)
+			return true, nm
 		case solver.Unsat:
 			return false, nil
 		}
@@ -755,7 +775,27 @@ func (ex *Executor) fullQuery(st *State, extra []solver.Constraint) (solver.Resu
 	if ex.recording(pc) {
 		ex.record(st, m, extra)
 	}
+	// m is the union of models of every component, which share no
+	// variables, so the whole path condition holds under it.
+	ex.derive(st, m, st.pc().len())
 	return solver.Sat, m
+}
+
+// derive records that the first held constraints of pc(st) hold under m.
+func (ex *Executor) derive(st *State, m *solver.Model, held int) {
+	if held > 0 {
+		ex.derived = derivedModel{m: m, path: st.path, gen: st.pc().gen, held: held}
+	}
+}
+
+// derivedHeld returns how many leading constraints of pc(st) are known to
+// hold under m: the prefix derive recorded for m and this very path
+// condition, or 0.
+func (ex *Executor) derivedHeld(st *State, m *solver.Model) int {
+	if d := &ex.derived; d.m == m && d.path == st.path && d.gen == st.pc().gen {
+		return d.held
+	}
+	return 0
 }
 
 // recordMinSlots is the number of component slots a path condition must
@@ -866,13 +906,15 @@ func (ex *Executor) refutedByBounds(st *State, extra []solver.Constraint) bool {
 }
 
 // commit appends constraints to the path condition and installs the model
-// that witnesses them.
+// that witnesses them. A model satisfiable derived for this path condition
+// comes with the prefix it is known to satisfy, so the model shortcut
+// evaluates only the constraints committed since.
 func (ex *Executor) commit(st *State, m *solver.Model, cons ...solver.Constraint) {
+	if m != nil && m != st.LastModel {
+		st.LastModel, st.held = m, ex.derivedHeld(st, m)
+	}
 	for _, c := range cons {
 		addPathConstraint(st, c)
-	}
-	if m != nil {
-		st.LastModel = m
 	}
 	st.settleQuery()
 }
@@ -951,7 +993,7 @@ func addPathConstraint(st *State, c solver.Constraint) {
 			if c.E.Const >= pc.cons.at(i).E.Const {
 				p, tok := st.pathForWrite()
 				p.pc.replace(tok, i, c)
-				if i < st.held && !c.Holds(st.heldModel) {
+				if i < st.held && !c.Holds(st.LastModel) {
 					st.held = i
 				}
 			}

@@ -34,7 +34,11 @@ type pathCond struct {
 	mask0  slotMask         // slots 0-31, copied with the header
 	masks  cowVec[slotMask] // slots 32 on, by slot / 32 - 1
 	ground int              // 1 + slot of the ground component (0: none)
-	digest solver.Digest
+	// sum is the Sum of the path condition's digest, whose N is its length
+	// (State.PCDigest). gen counts the writes to cons, appends and
+	// replacements alike, so a path store and its gen name one path
+	// condition (see derivedModel).
+	sum, gen uint64
 }
 
 // slotMask describes 32 consecutive component slots, one bit each: live
@@ -154,7 +158,8 @@ func (pc *pathCond) add(tok *ownerToken, c solver.Constraint) {
 	i := pc.cons.len()
 	pc.cons.push(tok, c)
 	h := solver.HashConstraint(c)
-	pc.digest = pc.digest.Add(h)
+	pc.sum += h
+	pc.gen++
 	s := -1
 	if len(c.E.Terms) == 0 {
 		if pc.ground == 0 {
@@ -193,7 +198,8 @@ func (pc *pathCond) replace(tok *ownerToken, i int, c solver.Constraint) {
 	old := pc.cons.at(i)
 	pc.cons.set(tok, i, c)
 	ho, hc := solver.HashConstraint(old), solver.HashConstraint(c)
-	pc.digest = pc.digest.Remove(ho).Add(hc)
+	pc.sum += hc - ho
+	pc.gen++
 	v, _, _ := c.E.SingleVar()
 	comp := pc.compForWrite(tok, int(pc.vars.at(int(v)).slot)-1)
 	j, _ := slices.BinarySearch(comp.idx, int32(i))

@@ -12,6 +12,7 @@ import (
 	"repro/internal/solver"
 	"repro/internal/solver/solvertest"
 	"repro/internal/symexec/snapshot"
+	"repro/internal/trace"
 )
 
 // refAdd is the reference for addPathConstraint on a plain slice: skip
@@ -249,6 +250,49 @@ func requireFullQuery(t *testing.T, label string, ex *Executor, st *State, ref, 
 	return res, m
 }
 
+// requireHeldPrefix checks what st knows of its cached model: the first
+// held constraints of its path condition hold under it, evaluated afresh,
+// and the model shortcut's verdict on extras is what a walk of the whole
+// path condition gives.
+func requireHeldPrefix(t *testing.T, label string, st *State, extras []solver.Constraint) {
+	t.Helper()
+	cons := st.Constraints()
+	if st.held > len(cons) {
+		t.Fatalf("%s: %d constraints held of %d", label, st.held, len(cons))
+	}
+	for i, c := range cons[:st.held] {
+		if !c.Holds(st.LastModel) {
+			t.Fatalf("%s: constraint %d (%s) is held, below %d, but fails under the cached model %v",
+				label, i, c.String(nil), st.held, st.LastModel)
+		}
+	}
+	if m := st.LastModel; m != nil {
+		got := allHold(extras, m) && st.pcHolds()
+		if want := allHold(extras, m) && allHold(cons, m); got != want {
+			t.Fatalf("%s: model shortcut says %v, a walk of the path condition %v", label, got, want)
+		}
+	}
+}
+
+// requireVerdict checks satisfiable's answer on pc ∧ c, asked of a state
+// whose cached model was lm, against a fresh solve of the reference path
+// condition: a refuted query must not be satisfiable, and a returned model
+// must satisfy c, and the whole query when lm satisfies the path
+// condition. (This test's appends bypass commit, so lm need not.)
+func requireVerdict(t *testing.T, label string, g *pcGen, ref []solver.Constraint, c solver.Constraint, lm *solver.Model, ok bool, m *solver.Model) {
+	t.Helper()
+	query := append(slices.Clip(ref), c)
+	if res, _ := solver.New().Check(g.tbl, query); !ok && res == solver.Sat {
+		t.Fatalf("%s: satisfiable refutes a satisfiable query\nquery %v", label, renderPC(query))
+	}
+	if !ok || m == nil {
+		return
+	}
+	if !c.Holds(m) || lm != nil && allHold(ref, lm) && !allHold(query, m) {
+		t.Fatalf("%s: satisfiable's model %v does not satisfy its query\nquery %v", label, m, renderPC(query))
+	}
+}
+
 // sameConstraint reports whether a and b render alike, comparing their
 // fields first.
 func sameConstraint(a, b solver.Constraint) bool {
@@ -286,15 +330,16 @@ func roundTrip(t *testing.T, st *State, prog *bytecode.Program) *State {
 }
 
 // TestPathCondMatchesPartition runs random interleavings of appends,
-// bound compactions, forks, checkpoint round trips and recording full
-// queries over a population of states. After every step each state's
+// bound compactions, forks, checkpoint round trips, recording full queries
+// and branches over a population of states. After every step each state's
 // components must equal the reference partition's on pc and on pc ∧ 1-3
 // extras, its digest and variable index must match its reference path
 // condition, every record must be what a fresh check of its component
-// returns, and every other state must be untouched. Every full query's
-// verdict and model must be exactly CheckComponents' over the reference
-// partition, also after its state extended its model or committed the
-// query's extras.
+// returns, its held prefix must hold under its cached model, and every other
+// state must be untouched. Every full query's verdict and model must be
+// exactly CheckComponents' over the reference partition, also after its
+// state extended its model or committed the query's extras, and every
+// branch's verdicts and models must agree with a fresh solve.
 func TestPathCondMatchesPartition(t *testing.T) {
 	prog := bytecode.MustCompile("pc", `func main() int { return 0; }`)
 	mainFn := prog.Funcs[prog.MainIndex]
@@ -316,7 +361,7 @@ func TestPathCondMatchesPartition(t *testing.T) {
 			i := g.rng.Intn(len(states))
 			st := states[i]
 			var op string
-			switch r := g.rng.Intn(20); {
+			switch r := g.rng.Intn(24); {
 			case r < 10:
 				op = "append"
 				c := g.constraint()
@@ -340,11 +385,43 @@ func TestPathCondMatchesPartition(t *testing.T) {
 			case r < 16:
 				op = "checkpoint"
 				states[i] = roundTrip(t, st, prog)
+			case r < 20:
+				// A branch as stepJump takes it: both sides checked, the
+				// state follows the side its cached model satisfies and a
+				// fork child, if there is room, the other.
+				op = "branch"
+				label := fmt.Sprintf("seed %d step %d", seed, step)
+				c := g.extras()[0]
+				neg := c.Negate()
+				lm := st.LastModel
+				okT, mT := ex.satisfiable(st, c)
+				okF, mF := ex.satisfiable(st, neg)
+				requireVerdict(t, label, g, refs[i], c, lm, okT, mT)
+				requireVerdict(t, label, g, refs[i], neg, lm, okF, mF)
+				if okT && okF && len(states) < 12 {
+					if st.LastModel != nil && neg.Holds(st.LastModel) {
+						c, neg, mT, mF = neg, c, mF, mT
+					}
+					child := st.fork()
+					ex.commit(child, mF, neg)
+					states, refs = append(states, child), append(refs, refAdd(refs[i], neg))
+					okF = false
+				}
+				switch {
+				case okT:
+					ex.commit(st, mT, c)
+					refs[i] = refAdd(refs[i], c)
+				case okF:
+					ex.commit(st, mF, neg)
+					refs[i] = refAdd(refs[i], neg)
+				}
 			default:
 				// A branch: two full queries, then a fork child may
 				// commit the second's extras and model and the state
 				// the first's, and the state may extend its model with
-				// a variable the path condition does not mention. A
+				// a variable the path condition does not mention, or
+				// rebind one it may mention, which keeps the held
+				// prefix only up to that variable's first constraint. A
 				// write may come between the queries, as the
 				// definitions some steps add do.
 				op = "query"
@@ -374,13 +451,18 @@ func TestPathCondMatchesPartition(t *testing.T) {
 						refs[i] = refAdd(refs[i], c)
 					}
 				}
-				if g.rng.Intn(2) == 0 {
+				switch g.rng.Intn(4) {
+				case 0:
 					ex.extendModel(st, g.tbl.NewVar("aux"), 7)
+				case 1:
+					ex.extendModel(st, g.pool[g.rng.Intn(len(g.pool))], int64(g.rng.Intn(41)-20))
 				}
 			}
 			extras := g.extras()
 			for j := range states {
-				requireOracle(t, fmt.Sprintf("seed %d step %d (%s on state %d): state %d", seed, step, op, i, j), states[j], refs[j], g, extras)
+				label := fmt.Sprintf("seed %d step %d (%s on state %d): state %d", seed, step, op, i, j)
+				requireOracle(t, label, states[j], refs[j], g, extras)
+				requireHeldPrefix(t, label, states[j], extras)
 			}
 		}
 		reused += ex.Solver.Reused
@@ -523,6 +605,120 @@ func TestAddConstraintKeepsVarIndex(t *testing.T) {
 		st.AddConstraint(tc.pc)
 		if ok, m := ex.satisfiable(st, tc.extra); ok {
 			t.Errorf("%s: pc ∧ extra reported satisfiable with model %v", tc.name, m)
+		}
+	}
+}
+
+// TestModelPrefixCarriesAcrossFork pins the model shortcut's cost on
+// guided-deep's shape, 1,200 path constraints in 570 components: a fork
+// child that commits a branch with a model derived from a solver answer,
+// a full query's or the disjoint shortcut's, knows that its path
+// condition held under that model, so its next check evaluates only the
+// constraint it committed. The shortcut then answers a condition the
+// model satisfies.
+func TestModelPrefixCarriesAcrossFork(t *testing.T) {
+	ex, st, vars := guidedDeepState()
+	ok, m := ex.satisfiable(st)
+	if !ok || m == nil {
+		t.Fatal("parent's path condition refuted")
+	}
+	ex.commit(st, m)
+	fresh := ex.Table.NewVarBounded("fresh", 0, 9)
+	for n := 0; n < 40; n++ {
+		child := st.fork()
+		v := solver.VarExpr(vars[n*13%len(vars)])
+		for _, br := range []struct {
+			name       string
+			cond, next solver.Constraint
+		}{
+			// The parent's model binds v to 0 and fresh not at all.
+			{"full query", solver.Ge(v, solver.ConstExpr(1)), solver.Le(v, solver.ConstExpr(250))},
+			{"disjoint", solver.Ge(solver.VarExpr(fresh), solver.ConstExpr(int64(1+n%9))), solver.Le(solver.VarExpr(fresh), solver.ConstExpr(9))},
+		} {
+			lm := child.LastModel
+			ok, m := ex.satisfiable(child, br.cond)
+			if !ok || m == nil || m == lm {
+				t.Fatalf("branch %d (%s): not decided by a solver answer", n, br.name)
+			}
+			ex.commit(child, m, br.cond)
+			if got := child.pc().len() - child.held; got > 1 {
+				t.Fatalf("branch %d (%s): the next check evaluates %d of %d path constraints, want at most the 1 committed",
+					n, br.name, got, child.pc().len())
+			}
+			if ok, next := ex.satisfiable(child, br.next); !ok || next != m {
+				t.Fatalf("branch %d (%s): next check not answered by the model shortcut", n, br.name)
+			}
+			if got := child.pc().len() - child.held; got != 0 {
+				t.Fatalf("branch %d (%s): %d path constraints unverified after the shortcut answered", n, br.name, got)
+			}
+			if cons := child.Constraints(); !allHold(cons, child.LastModel) {
+				t.Fatalf("branch %d (%s): cached model fails the path condition", n, br.name)
+			}
+		}
+	}
+	// Siblings that each wrote once have path conditions of one length and
+	// write count. A model derived for one carries nothing to the other.
+	a, b := st.fork(), st.fork()
+	ex.commit(a, nil, solver.Ge(solver.VarExpr(vars[1]), solver.ConstExpr(2)))
+	ex.commit(b, nil, solver.Le(solver.VarExpr(vars[1]), solver.ConstExpr(1)))
+	ok, m = ex.satisfiable(a, solver.Ge(solver.VarExpr(vars[2]), solver.ConstExpr(1)))
+	if !ok || m == nil {
+		t.Fatal("sibling's branch refuted")
+	}
+	ex.commit(b, m, solver.Ge(solver.VarExpr(vars[2]), solver.ConstExpr(1)))
+	if b.held != 0 {
+		t.Fatalf("a model derived for a sibling's path condition carries %d held constraints", b.held)
+	}
+}
+
+// TestModelPrefixHoldsUnderEngine checks the held prefix of every state
+// the engine hands the location hook, on the epoch engine's lone slot and
+// on four workers: its first held constraints must hold under its cached
+// model. The program classifies each byte of a symbolic string in a call,
+// so states fork on every byte and cross a location on every call. The
+// prefix and the models it is derived from are per-slot state, so run it
+// under -race too.
+func TestModelPrefixHoldsUnderEngine(t *testing.T) {
+	prog := bytecode.MustCompile("classify", `
+func classify(int c) int {
+  if (c == 60) { return 1; }
+  if (c == 62) { return 2; }
+  if (c < 32) { return 3; }
+  return 0;
+}
+func main() int {
+  string s = input_string("s");
+  int n = 0;
+  int i = 0;
+  while (i < len(s)) {
+    n = n + classify(char(s, i));
+    i = i + 1;
+  }
+  if (n > 20) { assert(0); }
+  return n;
+}`)
+	for _, workers := range []int{0, 4} {
+		var mu sync.Mutex
+		checked, failed := 0, 0
+		opts := DefaultOptions()
+		opts.StopAtFirstVuln = false
+		opts.MaxSteps = 40_000
+		opts.Workers = workers
+		opts.Hook = func(_ *Executor, st *State, _ trace.Location, _ *VarView) HookDecision {
+			cons := st.Constraints()
+			bad := st.held > len(cons) || !allHold(cons[:min(st.held, len(cons))], st.LastModel)
+			mu.Lock()
+			checked++
+			if bad {
+				failed++
+			}
+			mu.Unlock()
+			return HookContinue
+		}
+		res := New(prog, &InputSpec{MaxStrLen: 16}, opts).Run()
+		t.Logf("workers %d: %d checked, %d steps, %d forks", workers, checked, res.Steps, res.Forks)
+		if res.Forks < 100 || failed > 0 {
+			t.Errorf("workers %d: held prefix fails on %d of %d states checked (%d forks)", workers, failed, checked, res.Forks)
 		}
 	}
 }

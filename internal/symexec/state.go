@@ -102,11 +102,13 @@ type State struct {
 	// (settleQuery). Both are shared across forks and never mutated.
 	qm, qmPrev *queryModel
 
-	// heldModel and held record what the model shortcut has verified: the
-	// first held constraints of the path condition hold under heldModel.
-	// While heldModel is LastModel, the shortcut evaluates only the rest.
-	heldModel *solver.Model
-	held      int
+	// held counts the leading path constraints known to hold under
+	// LastModel; the model shortcut evaluates only the rest. The shortcut
+	// extends it, an extension of the model keeps what the new bindings do
+	// not touch, and commit installs a model derived from a solver answer
+	// with the prefix that answer covers (Executor.derived), any other new
+	// model with none.
+	held int
 
 	// heap maps buffer identities to their cell storage. Forks share the
 	// map (heapShared), so both sides copy the map, the touched header, and
@@ -231,7 +233,9 @@ func (st *State) pathForWrite() (*pathStore, *ownerToken) {
 
 // PCDigest returns the rolling digest of the path condition. It always
 // equals solver.DigestOf(st.Constraints()).
-func (st *State) PCDigest() solver.Digest { return st.pc().digest }
+func (st *State) PCDigest() solver.Digest {
+	return solver.Digest{Sum: st.pc().sum, N: st.pc().len()}
+}
 
 // Constraints returns a copy of the path condition.
 func (st *State) Constraints() []solver.Constraint { return st.pc().cons.slice() }
@@ -250,15 +254,13 @@ func (st *State) owner() *ownerToken {
 	return st.tok
 }
 
-// pcHolds reports whether every path constraint holds under m, evaluating
-// only those not yet verified under m, and records how far they hold.
-func (st *State) pcHolds(m *solver.Model) bool {
-	if st.heldModel != m {
-		st.heldModel, st.held = m, 0
-	}
+// pcHolds reports whether every path constraint holds under LastModel,
+// evaluating only those past the held prefix, and records how far they
+// hold.
+func (st *State) pcHolds() bool {
 	pc := st.pc()
 	for i := st.held; i < pc.len(); i++ {
-		if !pc.cons.at(i).Holds(m) {
+		if !pc.cons.at(i).Holds(st.LastModel) {
 			st.held = i
 			return false
 		}
@@ -268,18 +270,15 @@ func (st *State) pcHolds(m *solver.Model) bool {
 }
 
 // extendedModel installs nm, the cached model plus bindings for vars, as
-// the state's model. The verified prefix carries over to nm up to the
-// first constraint mentioning one of vars: nothing before it reads them.
-// A query model that is the cached model moves to nm, with vars to drop
-// at the next full query, so the state keeps one model, not two.
+// the state's model. The held prefix carries over to nm up to the first
+// constraint mentioning one of vars: nothing before it reads them. A
+// query model that is the cached model moves to nm, with vars to drop at
+// the next full query, so the state keeps one model, not two.
 func (st *State) extendedModel(nm *solver.Model, vars ...solver.Var) {
-	if st.heldModel == st.LastModel {
-		for _, v := range vars {
-			if e := st.pc().vars.at(int(v)); e.slot != 0 && int(e.first) < st.held {
-				st.held = int(e.first)
-			}
+	for _, v := range vars {
+		if e := st.pc().vars.at(int(v)); e.slot != 0 && int(e.first) < st.held {
+			st.held = int(e.first)
 		}
-		st.heldModel = nm
 	}
 	if qm := st.qm; qm != nil && qm.m == st.LastModel && !slices.ContainsFunc(vars, qm.binds) {
 		st.qm = &queryModel{m: nm, restore: qm.restore, fresh: append(slices.Clip(qm.fresh), vars...), recorded: qm.recorded}
@@ -302,7 +301,6 @@ func (st *State) fork() *State {
 		LastModel: st.LastModel,
 		qm:        st.qm,
 		qmPrev:    st.qmPrev,
-		heldModel: st.heldModel,
 		held:      st.held,
 		path:      st.path,
 	}
